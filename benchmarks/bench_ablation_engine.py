@@ -2,8 +2,9 @@
 
 DESIGN.md calls out two choices worth quantifying:
 
-* **automaton trimming** after ε-elimination — without it, the Tzeng stage
-  runs on all Thompson states instead of the reachable/co-reachable core;
+* **automaton trimming** after the position construction — without it, the
+  Tzeng stage runs on every position state instead of the
+  reachable/co-reachable core;
 * **staging**: the equality check splits into infinity-support (Boolean)
   and finite-part (exact linear algebra) stages; this bench measures the
   two stages separately, showing the Boolean stage dominates only when
@@ -30,14 +31,14 @@ def test_ablation_trim_effect(benchmark):
 
     wfa = benchmark(run)
     # Trimming is built in; measure the state count it achieves vs the
-    # Thompson upper bound (2 states per node).
-    from repro.core.expr import expr_size
+    # untrimmed position automaton (letter occurrences + 1 states).
+    from repro.core.expr import Symbol, subterms
 
-    upper = 2 * expr_size(expr)
+    upper = 1 + sum(isinstance(node, Symbol) for node in subterms(expr))
     report("ABLATION/trim",
            "trimming shrinks the Tzeng stage input",
-           f"{wfa.num_states} states kept of ≤ {upper} Thompson states")
-    assert wfa.num_states < upper
+           f"{wfa.num_states} states kept of {upper} position states")
+    assert wfa.num_states <= upper
 
 
 @pytest.mark.parametrize("pair_name,pair", [

@@ -16,12 +16,11 @@ Expected shape: algebraic flat, semantic exploding; the crossover sits at
 1–2 qubits on this machine.
 
 A second axis (PR 2): **dense vs sparse linear algebra**.  The decision
-pipeline now runs on the semiring-generic sparse backend
-(:mod:`repro.linalg`); this bench sweeps Thompson-style automata (≈2
-non-zeros per row) up to ≥200 states and times ``matrix_star`` and full
-weighted-automaton equivalence on both the sparse kernels and the retained
-dense reference, asserting the verdicts never change.  Run directly for a
-JSON report::
+pipeline runs on the semiring-generic sparse backend (:mod:`repro.linalg`);
+this bench sweeps sparse automata up to ≥200 states and times full
+weighted-automaton equivalence on both the sparse kernels and a dense
+``Fraction`` Tzeng baseline, asserting the verdicts never change.  Run
+directly for a JSON report::
 
     PYTHONPATH=src python benchmarks/bench_scalability.py \
         --sizes 25 50 100 200 --json BENCH_scalability.json
@@ -55,7 +54,7 @@ from repro.core.decision import cache_stats, clear_caches, nka_equal_many
 from repro.core.expr import ONE as EXPR_ONE, Product, Star, Sum, Symbol
 from repro.core.hypotheses import projective_measurement
 from repro.core.semiring import ExtNat, ONE, ZERO
-from repro.linalg import EXT_NAT, RowSpace, SparseMatrix, dense_star
+from repro.linalg import RowSpace
 from repro.programs.semantics import denotation
 from repro.programs.syntax import Unitary
 from repro.quantum.gates import H
@@ -65,7 +64,6 @@ from repro.quantum.operators import random_unitary
 
 QUBIT_RANGE = [1, 2, 3]
 STATE_SWEEP = [25, 50, 100, 200]
-DENSE_STATE_CAP = 200  # dense star baseline grows ~n³; cap to keep runs sane
 DENSE_EQUIV_CAP = 100  # dense Tzeng baseline is ~10s at n=100, minutes at 200
 
 
@@ -140,31 +138,6 @@ def test_scale_semantic_check(benchmark, qubits):
 
 
 # -- dense vs sparse backend sweep ---------------------------------------------
-
-
-def thompson_style_matrix(n: int, rng: random.Random) -> SparseMatrix:
-    """A random ``N̄``-matrix with Thompson ε-graph structure (≈1.5 nnz/row).
-
-    Real ε-graphs decompose into many small components — ε-paths are
-    interrupted by letter transitions, and fragment splicing keeps each
-    component's states contiguous.  So: a union of 4–12-state blocks, each
-    a chain with skip edges (sum branches) and occasionally one small back
-    edge (a star loop, giving a local cycle and hence ``∞`` closure
-    entries).
-    """
-    matrix = SparseMatrix(n, n, EXT_NAT)
-    base = 0
-    while base < n - 1:
-        size = min(rng.randint(4, 12), n - base)
-        for i in range(size - 1):
-            matrix.add_entry(base + i, base + i + 1, ONE)
-            if rng.random() < 0.5 and i + 2 < size:
-                matrix.add_entry(base + i, base + rng.randrange(i + 1, size), ONE)
-        if rng.random() < 0.4 and size >= 3:
-            j = rng.randrange(1, size - 1)
-            matrix.add_entry(base + j, base + rng.randrange(0, j), ONE)
-        base += size
-    return matrix
 
 
 def spread_wfa(n: int, permutation, weight_bump=None) -> WFA:
@@ -257,30 +230,6 @@ def _time(fn):
     return result, time.perf_counter() - begin
 
 
-def sweep_matrix_star(sizes, dense_cap=DENSE_STATE_CAP, seed=2024):
-    """Sparse vs dense ``matrix_star`` on Thompson-style matrices."""
-    rows = []
-    for n in sizes:
-        rng = random.Random(seed + n)
-        sparse = thompson_style_matrix(n, rng)
-        sparse_star, sparse_s = _time(sparse.star)
-        row = {
-            "n": n,
-            "nnz": sparse.nnz,
-            "sparse_s": sparse_s,
-            "dense_s": None,
-            "speedup": None,
-        }
-        if n <= dense_cap:
-            dense = sparse.to_dense()
-            dense_result, dense_s = _time(lambda: dense_star(dense, EXT_NAT))
-            assert sparse_star.to_dense() == dense_result, f"star mismatch at n={n}"
-            row["dense_s"] = dense_s
-            row["speedup"] = dense_s / sparse_s if sparse_s > 0 else float("inf")
-        rows.append(row)
-    return rows
-
-
 def sweep_equivalence(sizes, dense_cap=DENSE_EQUIV_CAP, seed=2024):
     """Sparse vs dense WFA equivalence on permuted spread automata.
 
@@ -332,14 +281,11 @@ def sweep_equivalence(sizes, dense_cap=DENSE_EQUIV_CAP, seed=2024):
     return rows
 
 
-def run_backend_sweep(
-    sizes=None, dense_cap=DENSE_STATE_CAP, dense_equiv_cap=DENSE_EQUIV_CAP
-):
+def run_backend_sweep(sizes=None, dense_equiv_cap=DENSE_EQUIV_CAP):
     sizes = list(sizes or STATE_SWEEP)
     return {
         "bench": "scalability/dense-vs-sparse",
         "sizes": sizes,
-        "matrix_star": sweep_matrix_star(sizes, dense_cap),
         "equivalence": sweep_equivalence(sizes, dense_equiv_cap),
     }
 
@@ -356,17 +302,9 @@ def _format_row(row):
 def test_backend_sweep_small():
     """Tier-agnostic smoke: sparse ≥5× faster than dense at n=100, verdicts equal."""
     results = run_backend_sweep(sizes=[25, 50, 100])
-    for row in results["matrix_star"]:
-        if row["n"] >= 100:
-            assert row["speedup"] is not None and row["speedup"] >= 5.0, row
     for row in results["equivalence"]:
         if row["n"] >= 100:
             assert row["speedup"] is not None and row["speedup"] >= 5.0, row
-    report(
-        "SCALE/backend-star",
-        "sparse star walks supports, dense is Θ(n³)",
-        "; ".join(_format_row(r).strip() for r in results["matrix_star"]),
-    )
     report(
         "SCALE/backend-equivalence",
         "sparse Tzeng advances in O(nnz) with integer RowSpace",
@@ -377,17 +315,12 @@ def test_backend_sweep_small():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+", default=STATE_SWEEP)
-    parser.add_argument("--dense-cap", type=int, default=DENSE_STATE_CAP,
-                        help="largest n to run the dense star baseline at")
     parser.add_argument("--dense-equiv-cap", type=int, default=DENSE_EQUIV_CAP,
                         help="largest n to run the dense Tzeng baseline at")
     parser.add_argument("--json", type=str, default=None,
                         help="write results to this JSON file")
     args = parser.parse_args(argv)
-    results = run_backend_sweep(args.sizes, args.dense_cap, args.dense_equiv_cap)
-    print("matrix_star (Thompson-style sparsity, N̄):")
-    for row in results["matrix_star"]:
-        print(_format_row(row))
+    results = run_backend_sweep(args.sizes, args.dense_equiv_cap)
     print("wfa equivalence (equal + unequal permuted chains):")
     for row in results["equivalence"]:
         print(_format_row(row))

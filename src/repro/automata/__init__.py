@@ -7,7 +7,6 @@ from repro.automata.wfa import (
     drop_infinite_weights,
     expr_to_wfa,
     infinity_support_nfa,
-    matrix_star,
     restrict_to_dfa,
 )
 
@@ -18,7 +17,6 @@ __all__ = [
     "dfa_equivalent",
     "dfa_product_intersection",
     "WFA",
-    "matrix_star",
     "expr_to_wfa",
     "infinity_support_nfa",
     "drop_infinite_weights",

@@ -6,21 +6,16 @@ live in ``N̄``.  This module provides:
 
 * :class:`WFA` — the automaton representation (vector/matrix form), with
   transition matrices stored as :class:`repro.linalg.SparseMatrix` over the
-  ``EXT_NAT`` semiring — Thompson-style automata carry ~2 non-zeros per
-  row, so every pipeline stage walks supports instead of n² cells;
-* :func:`matrix_star` / :func:`matrix_mul` / :func:`matrix_add` — thin
-  dense-list wrappers over :mod:`repro.linalg` kept for callers/tests that
-  speak list-of-lists; the star uses the sparse kernel's block
-  decomposition (valid because ``N̄`` is a complete star semiring) with its
-  loop-free short-circuit;
-* :func:`expr_to_wfa` — compilation of an NKA expression to a WFA by a
-  Thompson-style construction followed by exact ε-elimination (the ε-closure
-  is ``E*`` for the ε-weight matrix ``E``, so ε-cycles — which arise from
-  ``e*`` when ``{{e}}[ε] ≥ 1`` — correctly produce ``∞`` weights, e.g.
-  ``{{1*}}[ε] = ∞``).  The construction is *compositional*: each subterm
-  compiles to a relocatable :class:`_Fragment` (states numbered locally,
-  start = 0, end = 1) memoized per hash-consed expression node, so shared
-  subautomata are built once per process and spliced by offsetting;
+  ``EXT_NAT`` semiring, so every pipeline stage walks supports instead of
+  n² cells;
+* :func:`expr_to_wfa` — compilation of an NKA expression straight to its
+  ε-free *weighted position automaton*: Glushkov's construction (one state
+  per letter occurrence, plus an initial state) with ``N̄`` multiplicities,
+  after Caron & Flouret (2003).  One walk over the expression computes
+  each node's constant term ``c`` and its weighted ``first``/``last``
+  position vectors, and accumulates the weighted ``follow`` relation; a
+  star contributes ``c*``, which is ``∞`` whenever ``c ≠ 0`` — so
+  ``{{1*}}[ε] = ∞`` needs no ε-closure and no matrix star;
 * :func:`infinity_support_nfa` — the Boolean NFA recognising the words whose
   coefficient is ``∞`` (used by the equality check);
 * :func:`drop_infinite_weights` / :func:`restrict_to_dfa` — the surgery
@@ -34,60 +29,20 @@ The weight of a word ``w = a1…ak`` is ``α · M(a1) · … · M(ak) · η`` wh
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.core.expr import (
-    Expr,
-    One,
-    Product,
-    Star,
-    Sum,
-    Symbol,
-    Zero,
-    alphabet as expr_alphabet,
-)
-from repro.core.semiring import ExtNat, INF, ONE, ZERO
+from repro.core.expr import Expr, One, Product, Star, Sum, Symbol, Zero
+from repro.core.semiring import ExtNat, ONE, ZERO
 from repro.linalg import BOOL, EXT_NAT, SparseMatrix, reachable, vec_mat
 from repro.automata.nfa import DFA, NFA, determinize
-from repro.util.cache import LRUCache
 
 __all__ = [
     "WFA",
-    "matrix_star",
-    "matrix_mul",
-    "matrix_add",
     "expr_to_wfa",
-    "PARALLEL_EPSILON_MIN_STATES",
-    "thompson_state_estimate",
     "infinity_support_nfa",
     "drop_infinite_weights",
     "restrict_to_dfa",
 ]
-
-Matrix = List[List[ExtNat]]
-
-
-def matrix_add(a: Matrix, b: Matrix) -> Matrix:
-    """Dense-list façade for sparse addition over ``N̄``."""
-    left = SparseMatrix.from_dense(a, EXT_NAT)
-    return left.add(SparseMatrix.from_dense(b, EXT_NAT)).to_dense()
-
-
-def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Dense-list façade for sparse multiplication over ``N̄``."""
-    left = SparseMatrix.from_dense(a, EXT_NAT)
-    return left.mul(SparseMatrix.from_dense(b, EXT_NAT)).to_dense()
-
-
-def matrix_star(m: Matrix) -> Matrix:
-    """``m* = Σ_k m^k`` for a square dense-list matrix over ``N̄``.
-
-    Thin wrapper over :meth:`repro.linalg.SparseMatrix.star`, which keeps
-    the classical recursive 2×2 block decomposition (valid in any complete
-    star semiring) but prunes all-zero blocks and short-circuits loop-free
-    matrices to a finite nilpotent sum.
-    """
-    return SparseMatrix.from_dense(m, EXT_NAT).star().to_dense()
 
 
 @dataclass
@@ -96,8 +51,7 @@ class WFA:
 
     ``matrices`` maps each letter to a sparse ``num_states × num_states``
     transition matrix (:class:`repro.linalg.SparseMatrix` over ``EXT_NAT``);
-    ``initial``/``final`` stay dense lists — they are length-n and almost
-    always dense after trimming.
+    ``initial``/``final`` stay dense lists of length ``num_states``.
     """
 
     num_states: int
@@ -209,171 +163,133 @@ class WFA:
         return trimmed
 
 
-# -- Thompson construction -----------------------------------------------------
+# -- weighted position construction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Fragment:
-    """A relocatable ε-automaton for one subexpression.
+# A sparse N̄ vector over letter positions: position -> non-zero weight.
+_Vector = Dict[int, ExtNat]
 
-    States are ``0..count-1`` with the convention start = 0, end = 1, so a
-    fragment can be spliced into a parent by shifting every state by an
-    offset.  ``epsilon`` is a *multiset* of edges (duplicates carry weight —
-    multiplicities matter over ``N̄``).  Fragments are immutable and memoized
-    per hash-consed expression node, so repeated compilations — and repeated
-    *subterms* within one compilation — reuse the same tuples.
+
+def _union(left: _Vector, right: _Vector) -> _Vector:
+    """Disjoint union, merging the smaller vector into the larger in place.
+
+    Positions of sibling subterms never overlap, and every vector is owned
+    by exactly one pending node of the walk, so mutating it is safe — and
+    smaller-into-larger keeps long sum chains ``O(n log n)``.
     """
-
-    count: int
-    epsilon: Tuple[Tuple[int, int], ...]
-    letters: Tuple[Tuple[int, str, int], ...]
-
-
-# Deliberate trade-off: composing fragments copies every descendant edge at
-# each level, i.e. Θ(Σ subtree sizes) versus the linear appends of a mutable
-# builder.  At any automaton size this pipeline can feasibly ε-eliminate,
-# the copying is sub-millisecond noise, and in exchange fragments are
-# immutable, memoizable, and shared across compilations.
+    if len(left) < len(right):
+        left, right = right, left
+    left.update(right)
+    return left
 
 
-_FRAGMENT_CACHE = LRUCache("wfa.fragments", maxsize=1 << 14)
+def _scaled(vector: _Vector, scalar: ExtNat) -> _Vector:
+    """``scalar · vector``; the empty vector when ``scalar`` is zero."""
+    if scalar.is_zero:
+        return {}
+    if scalar == ONE:
+        return vector
+    return {p: scalar * value for p, value in vector.items()}
 
 
-def _fragment(expr: Expr) -> _Fragment:
-    """Thompson fragment of ``expr`` (memoized on the interned node)."""
-    if isinstance(expr, Zero):
-        return _Fragment(2, (), ())  # no path from start to end
-    if isinstance(expr, One):
-        return _Fragment(2, ((0, 1),), ())
-    if isinstance(expr, Symbol):
-        return _Fragment(2, (), ((0, expr.name, 1),))
-    cached = _FRAGMENT_CACHE.get(expr)
-    if cached is not None:
-        return cached
-    if isinstance(expr, Sum):
-        left, right = _fragment(expr.left), _fragment(expr.right)
-        left_at, right_at = 2, 2 + left.count
-        epsilon = (
-            (0, left_at), (left_at + 1, 1),
-            (0, right_at), (right_at + 1, 1),
-        ) + _shift_eps(left, left_at) + _shift_eps(right, right_at)
-        letters = _shift_letters(left, left_at) + _shift_letters(right, right_at)
-        result = _Fragment(right_at + right.count, epsilon, letters)
-    elif isinstance(expr, Product):
-        left, right = _fragment(expr.left), _fragment(expr.right)
-        left_at, right_at = 2, 2 + left.count
-        epsilon = (
-            (0, left_at), (left_at + 1, right_at), (right_at + 1, 1),
-        ) + _shift_eps(left, left_at) + _shift_eps(right, right_at)
-        letters = _shift_letters(left, left_at) + _shift_letters(right, right_at)
-        result = _Fragment(right_at + right.count, epsilon, letters)
-    elif isinstance(expr, Star):
-        body = _fragment(expr.body)
-        body_at = 2
-        epsilon = (
-            (0, 1), (0, body_at), (body_at + 1, body_at), (body_at + 1, 1),
-        ) + _shift_eps(body, body_at)
-        result = _Fragment(body_at + body.count, epsilon, _shift_letters(body, body_at))
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown expression node {expr!r}")
-    _FRAGMENT_CACHE.put(expr, result)
-    return result
-
-
-def thompson_state_estimate(expr: Expr) -> int:
-    """Pre-ε-elimination state count of the Thompson fragment of ``expr``.
-
-    A cheap, monotone proxy for compilation and equivalence cost, used by
-    the engine's query planner to order batch work cheapest-first.  It rides
-    the fragment memo, so estimating a batch costs at most one fragment
-    construction per distinct subterm — work compilation would do anyway.
-    """
-    return _fragment(expr).count
-
-
-def _shift_eps(fragment: _Fragment, offset: int) -> Tuple[Tuple[int, int], ...]:
-    return tuple((i + offset, j + offset) for i, j in fragment.epsilon)
-
-
-def _shift_letters(
-    fragment: _Fragment, offset: int
-) -> Tuple[Tuple[int, str, int], ...]:
-    return tuple((i + offset, a, j + offset) for i, a, j in fragment.letters)
-
-
-# Below this many Thompson states, splitting the ε-closure into parallel
-# blocks costs more in pipe traffic than one in-process star.
-PARALLEL_EPSILON_MIN_STATES = 64
-
-
-def expr_to_wfa(
-    expr: Expr,
-    extra_alphabet: FrozenSet[str] = frozenset(),
-    epsilon_block_executor=None,
-) -> WFA:
-    """Compile an NKA expression to an ε-free WFA over ``N̄``.
+def expr_to_wfa(expr: Expr, extra_alphabet: FrozenSet[str] = frozenset()) -> WFA:
+    """Compile an NKA expression to its weighted position automaton over ``N̄``.
 
     The behaviour of the result equals the series ``{{expr}}`` of
     Definition A.4: for every word ``w``, ``result.weight(w) = {{expr}}[w]``.
-    ε-elimination computes the exact ε-closure ``C = E*`` (sparse matrix
-    star — the ε-matrix of a Thompson fragment has ≤ 4 entries per row, and
-    star-free subterms hit the loop-free fast path), then sets ``α' = α·C``
-    and ``M'(a) = M(a)·C`` so that
-    ``α'·M'(a1)…M'(ak)·η = α·C·M(a1)·C·…·M(ak)·C·η``, the sum over all runs
-    interleaved with arbitrarily many ε-steps.
 
-    ``epsilon_block_executor`` enables *intra-expression* parallel
-    ε-elimination: for fragments of at least ``PARALLEL_EPSILON_MIN_STATES``
-    states the closure runs as
-    :meth:`repro.linalg.SparseMatrix.star_parallel` — the SCC-condensation's
-    independent diagonal blocks are starred by the executor (the engine
-    passes its worker pool's :meth:`~repro.engine.pool.WorkerPool.
-    run_star_blocks`) and recombined by exact block back-substitution.
-    The closure is unique in a complete star semiring, so the result is
-    identical to the sequential star for every executor.
+    One post-order walk gives every letter occurrence a *position* and
+    every node a triple ``(c, first, last)``: ``c = {{node}}[ε]`` and
+    sparse ``N̄`` vectors weighting the positions a non-empty word can
+    start and end at; a shared ``follow`` map weights consecutive
+    positions.  The rules (``c* = ∞`` unless ``c = 0``, as ``N̄`` is a
+    complete star semiring):
 
-    Subautomata are memoized: the Thompson fragment of every composite
-    subterm is cached per interned node (see :class:`_Fragment`), so only
-    the ε-elimination — which depends on the whole expression — runs anew.
-    Callers wanting whole-result caching should go through
-    :func:`repro.core.decision.nka_equal` and friends, which keep compiled
-    automata in a bounded LRU.
+    * letter ``a``: a fresh position ``p``, ``c = 0``,
+      ``first = last = {p: 1}``; ``1``/``0``: ``c = 1``/``0``, no positions;
+    * ``E + F``: ``c(E) + c(F)``; ``first``/``last`` are disjoint unions;
+    * ``E·F``: ``c(E)·c(F)``, ``first = first(E) + c(E)·first(F)``,
+      ``last = last(F) + last(E)·c(F)``, ``follow += last(E)ᵀ·first(F)``;
+    * ``E*``: ``c(E)*``, ``first``/``last`` scaled by ``c(E)*``,
+      ``follow += last(E)ᵀ·c(E)*·first(E)``.
+
+    The automaton has state 0 (initial weight 1, final weight ``c``) plus
+    one state per position ``p`` labelled ``a``, entered from 0 with weight
+    ``first[p]`` and from ``q`` with ``follow[q][p]`` on ``M(a)``, and final
+    weight ``last[p]``; it is then trimmed.  There are no ε-moves, so no
+    closure: ``∞`` arises only from ``c(E)* = ∞`` in a star.  This is
+    Glushkov's position automaton carried to multiplicities (Caron &
+    Flouret, "Glushkov construction for series: the non commutative
+    case", 2003).
     """
-    sigma = frozenset(expr_alphabet(expr)) | extra_alphabet
-    fragment = _fragment(expr)
-    n = fragment.count
-    start, end = 0, 1
+    labels: List[str] = [""]  # labels[p] is the letter at position p ≥ 1
+    follow: Dict[int, _Vector] = {}
+    triples: List[Tuple[ExtNat, _Vector, _Vector]] = []
+    work: List[Tuple[Expr, bool]] = [(expr, False)]
+    while work:
+        node, children_done = work.pop()
+        if isinstance(node, Symbol):
+            position = len(labels)
+            labels.append(node.name)
+            triples.append((ZERO, {position: ONE}, {position: ONE}))
+        elif isinstance(node, One):
+            triples.append((ONE, {}, {}))
+        elif isinstance(node, Zero):
+            triples.append((ZERO, {}, {}))
+        elif not children_done:
+            work.append((node, True))
+            work.extend((child, False) for child in reversed(node.children()))
+        elif isinstance(node, Star):
+            c, first, last = triples.pop()
+            c_star = c.star()
+            first, last = _scaled(first, c_star), _scaled(last, c_star)
+            # c* · c* = c* in N̄, so the scaled vectors carry the crossing.
+            for q, weight in last.items():
+                row = follow.setdefault(q, {})
+                for p, value in first.items():
+                    step = weight * value
+                    existing = row.get(p)
+                    row[p] = step if existing is None else existing + step
+            triples.append((c_star, first, last))
+        else:
+            c_right, first_right, last_right = triples.pop()
+            c_left, first_left, last_left = triples.pop()
+            if isinstance(node, Sum):
+                triples.append((
+                    c_left + c_right,
+                    _union(first_left, first_right),
+                    _union(last_left, last_right),
+                ))
+            elif isinstance(node, Product):
+                # Fresh right positions: the crossing never meets an
+                # existing follow entry.
+                for q, weight in last_left.items():
+                    row = follow.setdefault(q, {})
+                    for p, value in first_right.items():
+                        row[p] = weight * value
+                triples.append((
+                    c_left * c_right,
+                    _union(first_left, _scaled(first_right, c_left)),
+                    _union(last_right, _scaled(last_left, c_right)),
+                ))
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown expression node {node!r}")
+    c, first, last = triples.pop()
 
-    eps = SparseMatrix(n, n, EXT_NAT)
-    for i, j in fragment.epsilon:
-        eps.add_entry(i, j, ONE)
-    if epsilon_block_executor is not None and n >= PARALLEL_EPSILON_MIN_STATES:
-        closure = eps.star_parallel(epsilon_block_executor)
-    else:
-        closure = eps.star()
-    closure_rows = closure.rows
-
-    initial = [ZERO] * n
-    for j, value in closure_rows.get(start, {}).items():
-        initial[j] = value
+    n = len(labels)
+    final = [ZERO] * n
+    final[0] = c
+    for p, value in last.items():
+        final[p] = value
     wfa = WFA(
         num_states=n,
-        alphabet=sigma,
-        initial=initial,
-        final=[ONE if i == end else ZERO for i in range(n)],
+        alphabet=frozenset(labels[1:]) | extra_alphabet,
+        initial=[ONE] + [ZERO] * (n - 1),
+        final=final,
     )
-    for source, letter, target in fragment.letters:
-        matrix = wfa.matrix(letter)
-        closure_row = closure_rows.get(target)
-        if closure_row:
-            row = matrix.rows.get(source)
-            if row is None:
-                # Thompson letter edges have distinct sources, so the whole
-                # closure row transfers as one dict copy.
-                matrix.rows[source] = dict(closure_row)
-            else:  # pragma: no cover - defensive (shared source state)
-                for j, value in closure_row.items():
-                    matrix.add_entry(source, j, value)
+    for source, row in [(0, first), *follow.items()]:
+        for p, value in row.items():
+            wfa.matrix(labels[p]).rows.setdefault(source, {})[p] = value
     return wfa.trim()
 
 

@@ -38,7 +38,7 @@ owns the two stateful caches of the pipeline:
 
 Both are bounded LRUs; eviction never changes answers, only timing.  The
 upstream memos (``rewrite.flatten``, ``rewrite.match``, ``rewrite.rules``,
-``rewrite.occurrences``, ``wfa.fragments``, ``expr.alphabet``) are pure
+``rewrite.occurrences``, ``planner.letters``, ``expr.alphabet``) are pure
 functions of interned nodes and stay **process-global**, shared by every
 engine session; the weak intern tables report read-only stats as
 ``rewrite.interned`` and are never cleared (entries vanish with their last
@@ -92,7 +92,7 @@ def cache_stats() -> Dict[str, CacheStats]:
 
     Includes the default session's compile cache (``decision.wfa``) and
     verdict cache (``decision.results``) plus the process-global memos
-    (``rewrite.flatten``, ``wfa.fragments``, ``expr.alphabet``, …).
+    (``rewrite.flatten``, ``planner.letters``, ``expr.alphabet``, …).
     Private engine sessions report through their own
     :meth:`~repro.engine.NKAEngine.stats` instead.
     """

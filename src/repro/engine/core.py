@@ -23,7 +23,7 @@ What an engine adds over the bare pipeline:
 * **metrics** — :meth:`NKAEngine.stats` unifies cache counters, planner
   dedupe ratios and executor timings into one JSON-dumpable report.
 
-Pure, input-determined memos (flattening, Thompson fragments, alphabets,
+Pure, input-determined memos (flattening, alphabets, letter counts,
 match results) stay process-global: they cannot leak information between
 sessions — their values are functions of their interned keys — and sharing
 them is exactly what makes a second engine in the same process cheap.
@@ -40,15 +40,10 @@ from itertools import product as _words_product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.automata.equivalence import EquivalenceResult, wfa_equivalent
-from repro.automata.wfa import (
-    PARALLEL_EPSILON_MIN_STATES,
-    WFA,
-    expr_to_wfa,
-    thompson_state_estimate,
-)
+from repro.automata.wfa import WFA, expr_to_wfa
 from repro.core.expr import Expr, alphabet
 from repro.core.semiring import ExtNat
-from repro.engine.executor import MIN_TASKS_FOR_POOL, ExecutionReport, execute_tasks
+from repro.engine.executor import execute_tasks
 from repro.engine.planner import (
     IDENTICAL_RESULT,
     PlanStats,
@@ -236,8 +231,6 @@ class NKAEngine:
             self.load_warm_state(warm_state, strict=strict_warm_state)
 
     def _reset_lifetime_executor_stats(self) -> None:
-        self._parallel_compilations = 0
-        self._auto_parallel_compilations = 0
         self._store_hits = 0
         self._store_publishes = 0
         self._store_worker_hits = 0
@@ -319,59 +312,6 @@ class NKAEngine:
         if published:
             with self._lock:
                 self._store_publishes += 1
-
-    def compile_parallel(self, expr: Expr, workers: Optional[int] = None) -> WFA:
-        """Compile one expression with intra-expression parallel ε-elimination.
-
-        The ε-closure of a large Thompson fragment dominates its compile
-        time; its SCC-condensation splits into independent diagonal blocks
-        whose stars this method runs concurrently on the engine's
-        persistent worker pool
-        (:meth:`~repro.engine.pool.WorkerPool.run_star_blocks`), with the
-        off-diagonal closure recombined exactly by block back-substitution
-        (:meth:`repro.linalg.SparseMatrix.star_parallel`).  The result is
-        identical to :meth:`compile` — closures are unique — and lands in
-        the same session cache; small fragments (below
-        ``repro.automata.wfa.PARALLEL_EPSILON_MIN_STATES`` states) degrade
-        to the sequential path automatically.
-        """
-        with self._lock:
-            cached = self._wfa.get(expr)
-            if cached is not None:
-                return cached
-        effective_workers = self.workers if workers is None else max(1, int(workers))
-        if effective_workers <= 1:
-            return self.compile(expr)
-        with self._exec_lock:
-            return self._compile_parallel_in_exec(expr, effective_workers)
-
-    def _compile_parallel_in_exec(
-        self, expr: Expr, workers: int, auto: bool = False
-    ) -> WFA:
-        """Body of :meth:`compile_parallel`; assumes ``_exec_lock`` is held.
-
-        Split out so batch execution can auto-route a dominant expression
-        through block ε-elimination from *inside* its own ``_exec_lock``
-        section — re-acquiring a non-reentrant lock would deadlock.
-        """
-        with self._lock:
-            cached = self._wfa.get(expr)
-            if cached is not None:
-                return cached
-        served = self._store_lookup(expr)
-        if served is not None:
-            return served
-        pool = self._ensure_pool(workers)
-        with kernels.use_backend(self._kernel):
-            wfa = expr_to_wfa(expr, epsilon_block_executor=pool.run_star_blocks)
-        with self._lock:
-            self._compilations += 1
-            self._parallel_compilations += 1
-            if auto:
-                self._auto_parallel_compilations += 1
-            self._wfa.put(expr, wfa)
-        self._store_publish(expr, wfa)
-        return wfa
 
     def equal_detailed(self, left: Expr, right: Expr) -> EquivalenceResult:
         """Decide ``⊢NKA left = right`` and report how it was decided.
@@ -624,51 +564,6 @@ class NKAEngine:
                 available.update(remaining[digest] for digest in present)
         return frozenset(available)
 
-    def _auto_parallel_candidates(
-        self, plan, workers: int
-    ) -> List[Expr]:
-        """Expressions a small batch should compile via block ε-elimination.
-
-        The executor sends batches below
-        :data:`~repro.engine.executor.MIN_TASKS_FOR_POOL` tasks down the
-        sequential path — correct for many small tasks, wasteful when one
-        expression above
-        :data:`~repro.automata.wfa.PARALLEL_EPSILON_MIN_STATES` states
-        carries at least half the plan's estimated compile cost: the
-        workers would idle while the parent grinds one giant ε-closure.
-        Those dominant expressions (at most two can clear the ½ bar) are
-        returned for pre-compilation through
-        :meth:`_compile_parallel_in_exec`; counted in
-        ``auto_parallel_compilations``.
-        """
-        if not plan.tasks or len(plan.tasks) >= MIN_TASKS_FOR_POOL:
-            return []
-        capped = workers
-        if os.environ.get("REPRO_ENGINE_OVERSUBSCRIBE") != "1":
-            capped = min(capped, os.cpu_count() or 1)
-        if capped <= 1:
-            return []
-        distinct: List[Expr] = []
-        seen = set()
-        for task in plan.tasks:
-            for expr in (task.left, task.right):
-                if expr not in seen:
-                    seen.add(expr)
-                    distinct.append(expr)
-        with self._lock:
-            pending = [expr for expr in distinct if expr not in self._wfa]
-        if not pending:
-            return []
-        with kernels.use_backend(self._kernel):
-            costs = {expr: _default_cost_estimate(expr) for expr in pending}
-            total = sum(costs.values())
-            return [
-                expr
-                for expr in pending
-                if costs[expr] * 2 >= total
-                and thompson_state_estimate(expr) >= PARALLEL_EPSILON_MIN_STATES
-            ]
-
     # -- batch API ---------------------------------------------------------
 
     def equal_many_detailed(
@@ -686,36 +581,25 @@ class NKAEngine:
         pairs = list(pairs)
         effective_workers = self.workers if workers is None else max(1, int(workers))
         plan_started = time.perf_counter()
-        # The planner's cost model is backend-aware (numpy stars carry a
-        # constant conversion overhead and a shallower slope), so planning
-        # runs under this session's kernel too.  With a compile store
-        # attached, expressions whose automata are already available —
-        # session cache or store — cost ~nothing, so ordering and chunking
-        # see the batch's *residual* work, not phantom compilations.
-        with kernels.use_backend(self._kernel):
-            cost_estimate = None
-            if self._store is not None:
-                available = self._batch_compiled_probe(pairs)
-                cost_estimate = cached_aware_cost_estimate(
-                    _default_cost_estimate, available.__contains__
-                )
-            plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
+        # With a compile store attached, expressions whose automata are
+        # already available — session cache or store — cost ~nothing, so
+        # ordering and chunking see the batch's *residual* work, not
+        # phantom compilations.
+        cost_estimate = None
+        if self._store is not None:
+            available = self._batch_compiled_probe(pairs)
+            cost_estimate = cached_aware_cost_estimate(
+                _default_cost_estimate, available.__contains__
+            )
+        plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
         plan_seconds = time.perf_counter() - plan_started
-        with self._exec_lock:
-            for expr in self._auto_parallel_candidates(plan, effective_workers):
-                # A small batch dominated by one big compilation gains
-                # nothing from task-level workers (there is only one task
-                # that matters) — but its ε-elimination blocks parallelise.
-                # Pre-compiling here warms the cache the sequential
-                # executor path is about to read; verdicts are unaffected.
-                self._compile_parallel_in_exec(expr, effective_workers, auto=True)
-            with kernels.use_backend(self._kernel):
-                verdicts, report, warmback = execute_tasks(
-                    plan,
-                    effective_workers,
-                    sequential_decide=self._decide_into_caches,
-                    pool_provider=self._ensure_pool,
-                )
+        with self._exec_lock, kernels.use_backend(self._kernel):
+            verdicts, report, warmback = execute_tasks(
+                plan,
+                effective_workers,
+                sequential_decide=self._decide_into_caches,
+                pool_provider=self._ensure_pool,
+            )
         # Merge in task-id order: deterministic cache state regardless of
         # scheduling (pool workers return verdicts in arbitrary order).
         # Tasks the pool's in-process fallback decided already went through
@@ -984,8 +868,8 @@ class NKAEngine:
     def clear(self, reset_stats: bool = False) -> None:
         """Empty this session's caches (a pure memo reset).
 
-        Process-global memos (fragments, flattening, alphabets) are *not*
-        touched — they are shared with other sessions; clear them through
+        Process-global memos (flattening, alphabets, letter counts) are
+        *not* touched — they are shared with other sessions; clear them through
         :func:`repro.core.decision.clear_caches` if needed.
         """
         with self._lock:
@@ -1078,8 +962,6 @@ class NKAEngine:
                     # process default) next to the process-wide counters —
                     # pool workers keep their own process-local counters.
                     "configured": self._kernel,
-                    "parallel_compilations": self._parallel_compilations,
-                    "auto_parallel_compilations": self._auto_parallel_compilations,
                     **kernels.kernel_stats(),
                 },
                 "store": None

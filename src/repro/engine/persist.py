@@ -17,7 +17,7 @@ hash-consing contract of :mod:`repro.core.expr` — and sparse matrices
 re-attach their canonical semiring instances by name).  Every state embeds a
 **pipeline fingerprint**: a hash over the source of each module whose
 behaviour the cached artefacts depend on (expression interning, the
-Thompson construction, ε-elimination, Tzeng, the sparse kernels) plus a
+position-automaton construction, Tzeng, the sparse kernels) plus a
 format version.  Loading checks the fingerprint first and rejects stale
 state with :class:`StaleWarmStateError` — a WFA compiled by an older
 pipeline must never masquerade as a fresh one, and a clean typed error lets
@@ -95,7 +95,7 @@ def loads_artifact(data: bytes) -> Any:
         raise WarmStateError(f"persisted artefact is not decodable: {error}") from error
 
 # Modules whose source determines the meaning of persisted artefacts.  A
-# change to any of them (new node layout, different ε-elimination, a Tzeng
+# change to any of them (new node layout, a different construction, a Tzeng
 # rework …) flips the fingerprint and invalidates every stored state.
 _FINGERPRINT_MODULES = (
     "repro.core.expr",
@@ -125,7 +125,7 @@ def pipeline_fingerprint() -> str:
     compiled automaton or a verdict — so reordering or rechunking logic
     must not invalidate every persisted artefact in the fleet.  Only
     modules whose source determines artefact *meaning* (interning, the
-    Thompson construction, ε-elimination, Tzeng, the semiring kernels)
+    position-automaton construction, Tzeng, the semiring kernels)
     participate; ``tests/test_compile_store.py`` pins the exact list.
 
     Raises :class:`WarmStateError` when any fingerprint module has no

@@ -11,14 +11,11 @@ problem rather than a loop:
 * **short-circuit** — pointer-equal pairs are answered inline (equal
   syntax trivially has equal series) and pairs whose verdict is already in
   the engine's result cache never become tasks at all;
-* **cost ordering** — remaining tasks are ordered cheapest-first using the
-  Thompson-fragment state estimate
-  (:func:`repro.automata.wfa.thompson_state_estimate`) rescaled by the
-  active kernel backend's measured cost model
-  (:func:`repro.linalg.kernels.compile_cost_estimate` — the numpy stars
-  pay a constant conversion overhead but a much shallower slope), so
-  short queries are not stuck behind expensive ones and early results
-  stream back first;
+* **cost ordering** — remaining tasks are ordered cheapest-first by the
+  expressions' position counts (letter occurrences + 1, the state count
+  of the position automaton :func:`repro.automata.wfa.expr_to_wfa` builds
+  before trimming), so short queries are not stuck behind expensive ones
+  and early results stream back first;
 * **sharing groups** — tasks are grouped by shared subexpressions
   (connected components of the task–expression graph), the unit the
   executor assigns to one worker: every distinct expression is compiled
@@ -46,8 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.automata.equivalence import EquivalenceResult
-from repro.automata.wfa import thompson_state_estimate
-from repro.core.expr import Expr
+from repro.core.expr import Expr, Symbol
+from repro.util.cache import LRUCache
 
 __all__ = [
     "PlannedQuery",
@@ -154,17 +151,33 @@ class BatchPlan:
     stats: PlanStats
 
 
+_LETTER_COUNT_CACHE = LRUCache("planner.letters", maxsize=1 << 16)
+
+
+def _letter_occurrences(expr: Expr) -> int:
+    """Number of letter occurrences in ``expr`` (memoized per interned node)."""
+    if isinstance(expr, Symbol):
+        return 1
+    children = expr.children()
+    if not children:
+        return 0
+    cached = _LETTER_COUNT_CACHE.get(expr)
+    if cached is not None:
+        return cached
+    count = 0
+    for child in children:  # a loop, not a generator: one frame per level
+        count += _letter_occurrences(child)
+    _LETTER_COUNT_CACHE.put(expr, count)
+    return count
+
+
 def _default_cost_estimate(expr: Expr) -> int:
-    """Thompson state count rescaled by the active kernel's cost model.
+    """Position count of ``expr``: its letter occurrences + 1.
 
-    With the pure-python backend the rescale is the identity, so plans are
-    byte-identical to releases that ordered by raw state counts; with the
-    numpy backend the measured affine model (constant conversion overhead,
-    shallower slope) reorders large-vs-small ties to match reality.
+    That is the untrimmed state count of its position automaton, a cheap
+    monotone proxy for compile and decide cost.
     """
-    from repro.linalg import kernels
-
-    return kernels.compile_cost_estimate(thompson_state_estimate(expr))
+    return _letter_occurrences(expr) + 1
 
 
 def cached_aware_cost_estimate(
@@ -201,7 +214,7 @@ def plan_batch(
     engine passes its result-cache lookup); planning mutates nothing, so a
     plan can be executed by any worker topology.  ``cost_estimate`` maps an
     expression to a relative compile cost (default:
-    :func:`_default_cost_estimate`, which is backend-aware); it only
+    :func:`_default_cost_estimate`, the position count); it only
     influences ordering and chunking, never verdicts.
     """
     if cost_estimate is None:

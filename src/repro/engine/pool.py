@@ -174,13 +174,6 @@ def _worker_main(
     parent's WFA-cache size) so a long-lived worker's footprint cannot
     grow without limit; ``shipped`` (also bounded) keeps each WFA from
     crossing the warm-back channel more than once while it stays resident.
-
-    Chunks are kind-tagged: ``"decide"`` chunks carry equality tasks,
-    ``"star"`` chunks carry sparse matrices whose closure the parent's
-    :meth:`SparseMatrix.star_parallel` delegated here (intra-expression
-    parallel ε-elimination).  Both kinds are pure functions of their
-    payload, so the at-least-once/exactly-once merge protocol covers them
-    identically.
     """
     # Preload: importing the pipeline and computing the fingerprint here
     # front-loads the cold-start cost (which `spawn` would otherwise pay on
@@ -221,47 +214,43 @@ def _worker_main(
             item = conn.recv()
             if item is None:
                 break
-            epoch, chunk_id, kind, tasks = item
+            epoch, chunk_id, tasks = item
             started = time.perf_counter()
             warmback: List[Tuple[Expr, WFA]] = []
             verdicts: List[Tuple[int, object]] = []
             verdict_served: List[int] = []
             hits_before = store_memo.store_hits
-            if kind == "star":
-                for task_id, matrix in tasks:
-                    verdicts.append((task_id, matrix.star()))
-            else:
-                fresh: List[Expr] = []
-                for task_id, left, right in tasks:
-                    # Verdict tier first: a fleet-published verdict answers
-                    # the task with no compile and no Tzeng run.  The store
-                    # holds only *direct* decisions, so serving one here is
-                    # byte-identical to deciding.  Failures degrade to a
-                    # plain miss, like every other store read.
-                    if store is not None:
-                        try:
-                            served = store.get_verdict(
-                                expr_digest(left), expr_digest(right)
-                            )
-                        except Exception:
-                            served = None
-                        if served is not None:
-                            verdict_served.append(task_id)
-                            verdicts.append((task_id, served))
-                            continue
-                    for expr in (left, right):
-                        if expr not in memo:
-                            fresh.append(expr)
-                    verdicts.append((task_id, decide_pure(left, right, store_memo)))
-                # Store-served expressions count as fresh here on purpose:
-                # warm-back is how the *parent's* WFA cache gets warm, and
-                # its publish-side dedupe makes re-offering them to the
-                # store itself a cheap skip.
-                for expr in fresh:
-                    wfa = memo.peek(expr)  # may already be evicted mid-chunk
-                    if wfa is not None and expr not in shipped:
-                        shipped[expr] = True
-                        warmback.append((expr, wfa))
+            fresh: List[Expr] = []
+            for task_id, left, right in tasks:
+                # Verdict tier first: a fleet-published verdict answers
+                # the task with no compile and no Tzeng run.  The store
+                # holds only *direct* decisions, so serving one here is
+                # byte-identical to deciding.  Failures degrade to a
+                # plain miss, like every other store read.
+                if store is not None:
+                    try:
+                        served = store.get_verdict(
+                            expr_digest(left), expr_digest(right)
+                        )
+                    except Exception:
+                        served = None
+                    if served is not None:
+                        verdict_served.append(task_id)
+                        verdicts.append((task_id, served))
+                        continue
+                for expr in (left, right):
+                    if expr not in memo:
+                        fresh.append(expr)
+                verdicts.append((task_id, decide_pure(left, right, store_memo)))
+            # Store-served expressions count as fresh here on purpose:
+            # warm-back is how the *parent's* WFA cache gets warm, and
+            # its publish-side dedupe makes re-offering them to the
+            # store itself a cheap skip.
+            for expr in fresh:
+                wfa = memo.peek(expr)  # may already be evicted mid-chunk
+                if wfa is not None and expr not in shipped:
+                    shipped[expr] = True
+                    warmback.append((expr, wfa))
             conn.send(
                 (
                     "done",
@@ -457,39 +446,13 @@ class WorkerPool:
         and stale epochs are dropped, and the computation is pure — so the
         merged verdicts are independent of deaths, restarts and scheduling.
         """
-        return self._run("decide", chunks, fallback_decide)
-
-    def run_star_blocks(self, matrices: Sequence) -> List:
-        """Star each sparse matrix on a pool worker; results in input order.
-
-        The block-executor hook of
-        :meth:`repro.linalg.sparse.SparseMatrix.star_parallel`: the
-        independent diagonal blocks of one large ε-matrix close
-        concurrently, one block per chunk so the dealing loop balances
-        them across workers.  ``star`` is pure and the fallback runs the
-        identical method in-process, so the result list is independent of
-        scheduling and worker deaths.
-        """
-        chunks = [[(index, matrix)] for index, matrix in enumerate(matrices)]
-        results, _outcome = self._run(
-            "star", chunks, lambda matrix: matrix.star()
-        )
-        return [results[index] for index in range(len(matrices))]
-
-    def _run(
-        self,
-        kind: str,
-        chunks: Sequence[List[tuple]],
-        fallback: Callable,
-    ) -> Tuple[Dict[int, object], PoolBatchOutcome]:
-        """Shared dealing loop for kind-tagged chunks (see module docs)."""
         if self.closed:
             raise RuntimeError("worker pool is closed")
         self._epoch += 1
         self.batches += 1
         epoch = self._epoch
         outcome = PoolBatchOutcome()
-        verdicts: Dict[int, object] = {}
+        verdicts: Dict[int, EquivalenceResult] = {}
         pending: Dict[int, list] = dict(enumerate(chunks))
         deal: deque = deque(pending)  # chunk ids not yet in flight
         restart_budget = RESTART_BUDGET_PER_SLOT * max(1, self.size)
@@ -564,7 +527,7 @@ class WorkerPool:
                 else:
                     break
                 try:
-                    handle.conn.send((epoch, chunk_id, kind, pending[chunk_id]))
+                    handle.conn.send((epoch, chunk_id, pending[chunk_id]))
                     handle.busy_chunk = chunk_id
                 except (BrokenPipeError, OSError):
                     deal.appendleft(chunk_id)  # death handled next pass
@@ -598,9 +561,9 @@ class WorkerPool:
         if pending:
             started = time.perf_counter()
             for chunk in pending.values():
-                for task in chunk:
-                    verdicts[task[0]] = fallback(*task[1:])
-                    outcome.fallback_task_ids.add(task[0])
+                for task_id, left, right in chunk:
+                    verdicts[task_id] = fallback_decide(left, right)
+                    outcome.fallback_task_ids.add(task_id)
             fallback_seconds = time.perf_counter() - started
             outcome.worker_seconds += fallback_seconds
             outcome.max_chunk_seconds = max(

@@ -5,12 +5,11 @@ Why this package exists
 
 The paper's decision procedure (Remark 2.1, Bloom–Ésik) reduces NKA
 equality to weighted-automata equivalence over ``N̄ = N ∪ {∞}``.  Every
-matrix that pipeline touches is *sparse*: the Thompson construction emits
-~2 transitions per state, ε-closures stay band-like, and the Hadamard
-products used for infinity-support surgery only multiply supports.  Dense
-list-of-lists matrices made ``matrix_star`` Θ(n³) regardless, which capped
-the system at roughly 500 automaton states.  This package is the shared
-backend every layer compiles down to instead of rolling its own arrays.
+matrix that pipeline touches is *sparse*: a position automaton's letter
+matrices hold only the ``follow`` edges into that letter's positions, and
+the Hadamard products used for infinity-support surgery only multiply
+supports.  This package is the shared backend every layer compiles down
+to instead of rolling its own arrays.
 
 The semiring protocol
 ---------------------
@@ -23,8 +22,8 @@ Boolean reasoning are the *same algorithms* at different weights:
 ===============  =====================================  =========================
 instance         coefficients                           used by
 ===============  =====================================  =========================
-``EXT_NAT``      ``N̄`` (:class:`~repro.core.semiring.   ε-elimination & series
-                 ExtNat`), complete star semiring       weights (``automata.wfa``)
+``EXT_NAT``      ``N̄`` (:class:`~repro.core.semiring.   series weights
+                 ExtNat`), complete star semiring       (``automata.wfa``)
 ``FRACTION``     ``Q`` (:class:`fractions.Fraction`),   Tzeng equivalence
                  star partial (undefined at 1)          (``automata.equivalence``)
 ``BOOL``         ``{0,1}``, star ≡ 1                    reachability / trimming
@@ -39,13 +38,8 @@ Backend choice
 --------------
 
 * :class:`repro.linalg.sparse.SparseMatrix` — dict-of-rows (CSR-style)
-  storage holding only non-zeros.  ``star`` keeps the classical 2×2 block
-  decomposition but short-circuits loop-free (acyclic-support, hence
-  nilpotent) matrices to a finite sum and skips all-zero off-diagonal
-  blocks.  This is the production representation.
-* :mod:`repro.linalg.dense` — the unclever list-of-lists reference the
-  sparse kernels are property-tested against, also serving as the dense
-  baseline in ``benchmarks/bench_scalability.py``.
+  storage holding only non-zeros, with sparse vector–matrix kernels and
+  Boolean reachability.  This is the production representation.
 * :class:`repro.linalg.rowspace.RowSpace` — exact incremental row spaces
   for Tzeng's algorithm, with a fraction-free integer fast path (the
   vectors start as small naturals) falling back to ``Fraction`` echelon
@@ -54,13 +48,11 @@ Backend choice
 The pure-python kernels above are the *oracle*: total, exact over
 unbounded integers and ``∞``.  :mod:`repro.linalg.kernels` adds an opt-in
 **vectorized** backend (``REPRO_KERNEL=numpy`` or ``NKAEngine(kernel=
-"numpy")``) with numpy fast paths for the ``BOOL`` and finite-``EXT_NAT``
-hot loops (ε-closure stars, reachability bitsets, int64 RowSpace
-elimination).  Every vectorized kernel either returns the oracle's exact
-bytes or declines — ``∞`` weights, integers beyond the float64/int64
-exact ranges — back to the python code, so exactness (what makes the
-procedure a *decision* procedure) is never traded for speed; see
-``src/repro/linalg/README.md``.
+"numpy")``) with numpy fast paths for reachability bitsets, NFA subset
+steps and int64 RowSpace elimination.  Every vectorized kernel either
+returns the oracle's exact bytes or declines back to the python code, so
+exactness (what makes the procedure a *decision* procedure) is never
+traded for speed; see ``src/repro/linalg/README.md``.
 
 Everything validates shapes eagerly and raises
 :class:`repro.util.errors.DecisionError` carrying the offending shapes —
@@ -69,14 +61,6 @@ stack frames deep.
 """
 
 from repro.linalg import kernels
-from repro.linalg.dense import (
-    dense_add,
-    dense_identity,
-    dense_mul,
-    dense_shape,
-    dense_star,
-    dense_zeros,
-)
 from repro.linalg.rowspace import (
     RowSpace,
     Vector,
@@ -118,12 +102,6 @@ __all__ = [
     "mat_vec",
     "vec_dot",
     "reachable",
-    "dense_shape",
-    "dense_zeros",
-    "dense_identity",
-    "dense_add",
-    "dense_mul",
-    "dense_star",
     "RowSpace",
     "Vector",
     "vector",

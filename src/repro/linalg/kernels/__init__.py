@@ -1,14 +1,14 @@
 """Pluggable semiring kernel backends for the linalg hot loops.
 
 The decision pipeline is generic over a :class:`~repro.linalg.semiring.
-SemiringSpec`, and the pure-python dict-of-rows kernels in
-:mod:`repro.linalg.sparse` / :mod:`repro.linalg.rowspace` are the *oracle*:
-total, exact over unbounded integers and ``∞``, and the reference every
-other backend is differentially gated against.  This package adds a second,
-**vectorized** backend (:mod:`repro.linalg.kernels.numpy_backend`) for the
-two semirings that dominate compilation — ``BOOL`` and the finite part of
-``EXT_NAT`` — plus int64 fast paths for the Tzeng/RowSpace integer
-elimination.
+SemiringSpec`, and the pure-python kernels in :mod:`repro.linalg.sparse`,
+:mod:`repro.automata.nfa` and :mod:`repro.linalg.rowspace` are the
+*oracle*: total, exact over unbounded integers and ``∞``, and the
+reference every other backend is differentially gated against.  This
+package adds a second, **vectorized** backend
+(:mod:`repro.linalg.kernels.numpy_backend`) for three of them: Boolean
+reachability, NFA subset steps, and the int64 fast path of the
+Tzeng/RowSpace integer elimination.
 
 Kernel protocol
 ---------------
@@ -17,11 +17,10 @@ Every vectorized kernel is a *partial* function: it either returns the
 exact result — bit-for-bit the value the oracle would produce — or
 **declines** by returning ``None``, and the caller runs the pure-python
 code unchanged.  A kernel must decline whenever exactness is not
-guaranteed: ``∞`` weights in the input, integers at risk of exceeding the
-float64/int64 exact ranges, semirings it does not know.  Declines are
-counted per operation and reason (:func:`kernel_stats`), so tests can
-*assert* that an overflow or ``∞`` input took the fallback path rather
-than trusting that it did.
+guaranteed, e.g. integers at risk of exceeding the int64 range.  Declines
+are counted per operation and reason (:func:`kernel_stats`), so tests can
+*assert* that an overflow took the fallback path rather than trusting
+that it did.
 
 Backend selection is explicit, never inferred:
 
@@ -30,7 +29,7 @@ Backend selection is explicit, never inferred:
 * :func:`set_backend` / :func:`use_backend` switch it programmatically
   (the benchmark harness compares both in one process);
 * per-engine via ``NKAEngine(kernel=...)``, which scopes the backend
-  around that session's compilations and propagates it to pool workers.
+  around that session's work and propagates it to pool workers.
 
 The chosen backend and all counters surface in ``engine.stats()["kernel"]``
 and in ``BENCH_engine.json``.
@@ -57,11 +56,8 @@ __all__ = [
     "reset_kernel_stats",
     "record_fallback",
     "record_vectorized",
-    "try_star",
-    "try_mul",
     "try_reachable",
     "try_nfa_successors",
-    "compile_cost_estimate",
 ]
 
 _ENV_VAR = "REPRO_KERNEL"
@@ -192,7 +188,7 @@ def vectorized_active() -> bool:
 # (the pure-python oracle then produced the answer).  Counters are
 # process-local: pool workers accumulate their own and the engine reports
 # the parent's.
-_OPS = ("star", "mul", "reachable", "rowspace", "nfa_successors")
+_OPS = ("reachable", "rowspace", "nfa_successors")
 
 
 def _fresh_counters() -> Dict[str, Dict[str, Any]]:
@@ -261,24 +257,6 @@ def reset_kernel_stats() -> None:
 # -- dispatch entry points -----------------------------------------------------
 
 
-def try_star(matrix) -> Optional[Any]:
-    """Vectorized ``matrix.star()`` or ``None`` (caller runs the oracle)."""
-    if not vectorized_active():
-        return None
-    from repro.linalg.kernels import numpy_backend
-
-    return numpy_backend.star(matrix)
-
-
-def try_mul(a, b) -> Optional[Any]:
-    """Vectorized ``a.mul(b)`` or ``None`` (caller runs the oracle)."""
-    if not vectorized_active():
-        return None
-    from repro.linalg.kernels import numpy_backend
-
-    return numpy_backend.mul(a, b)
-
-
 def try_reachable(adjacency, seeds: Iterable[int]) -> Optional[Set[int]]:
     """Vectorized reachability or ``None`` (caller runs the worklist)."""
     if not vectorized_active():
@@ -295,35 +273,3 @@ def try_nfa_successors(nfa, letter: str, states) -> Optional[Any]:
     from repro.linalg.kernels import numpy_backend
 
     return numpy_backend.nfa_successors(nfa, letter, states)
-
-
-# -- cost model ----------------------------------------------------------------
-
-# Measured per-star wall time on the engine benchmark's compile workload
-# (Thompson ε-matrices, ~2 nnz/row; best of 3, this container):
-#
-#   states      32     64    128    256
-#   python   0.8ms  2.1ms  3.8ms  9.9ms     ≈ 30µs · states (linear-ish)
-#   numpy    0.3ms  0.5ms  0.9ms  2.2ms     ≈ 0.2ms + 8µs · states
-#
-# The python kernel is dict-walk bound (cost tracks nnz ≈ states), the
-# numpy kernel pays a constant dense-conversion overhead and then scales
-# with BLAS throughput.  The planner only needs *relative* cost, so the
-# python model is the identity (states — exactly the seed behaviour, so
-# python-backend plans are byte-identical to previous releases) and the
-# numpy model is an affine rescale in the same units.
-
-
-def compile_cost_estimate(states: int, backend: Optional[str] = None) -> int:
-    """Relative compile cost of a ``states``-state Thompson fragment.
-
-    Used by the engine planner for cheapest-first ordering and chunk
-    budgets; calibrated against measured kernel timings (table above).
-    """
-    states = max(0, int(states))
-    name = backend or backend_name()
-    if name == "numpy":
-        # Affine model in "python state units": constant conversion
-        # overhead (~7 states' worth) + shallower slope.
-        return 7 + (states * 28) // 100
-    return states

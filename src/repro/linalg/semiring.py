@@ -1,20 +1,17 @@
 """Weight-semiring protocol for the generic linear-algebra backend.
 
 A :class:`SemiringSpec` bundles the constants and operations the kernels in
-:mod:`repro.linalg.sparse` / :mod:`repro.linalg.dense` need; any coefficient
-type can be plugged in by describing it here.  Three instances cover every
-weight domain the decision pipeline uses today:
+:mod:`repro.linalg.sparse` need; any coefficient type can be plugged in by
+describing it here.  Three instances cover every weight domain the decision
+pipeline uses today:
 
 * :data:`EXT_NAT` — the paper's coefficient semiring ``N̄ = N ∪ {∞}``
   (:class:`repro.core.semiring.ExtNat`), a complete star semiring;
 * :data:`BOOL` — the Boolean semiring ``({0,1}, ∨, ∧)``; its matrices are
-  adjacency relations and ``star`` is reflexive-transitive closure, which is
-  how NFA/DFA reachability becomes an instance of the same kernel;
+  adjacency relations, which is how NFA/DFA reachability becomes an
+  instance of the same kernels;
 * :data:`FRACTION` — the field ``Q`` (:class:`fractions.Fraction`) used by
-  Tzeng's algorithm; its ``star`` is the geometric sum ``a* = 1/(1-a)``,
-  defined only for ``a ≠ 1`` (matrix star over ``Q`` is therefore partial —
-  the sparse kernel raises :class:`repro.util.errors.DecisionError` when the
-  recursion hits an undefined scalar star).
+  Tzeng's algorithm.
 
 The protocol is deliberately *first-order* (plain callables, no abstract
 base class): kernels fetch ``add``/``mul`` once into locals, which keeps the
@@ -34,9 +31,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from repro.core.semiring import ExtNat, INF, ONE, ZERO
+from repro.core.semiring import ONE, ZERO
 from repro.util.errors import DecisionError
 
 __all__ = [
@@ -60,9 +57,6 @@ class SemiringSpec:
         add: binary addition (associative, commutative, ``zero`` neutral).
         mul: binary multiplication (associative, ``one`` neutral, ``zero``
             annihilating).
-        star: Kleene star ``a* = Σ_k a^k`` when the semiring has one, else
-            ``None`` (matrix ``star`` is then only defined for nilpotent —
-            loop-free — matrices, which need no scalar star).
         is_zero: fast zero test; instances provide the cheapest predicate
             available (e.g. ``ExtNat.is_zero`` avoids an ``__eq__`` call).
     """
@@ -73,16 +67,6 @@ class SemiringSpec:
     add: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
     is_zero: Callable[[Any], bool]
-    star: Optional[Callable[[Any], Any]] = None
-
-    def scalar_star(self, value: Any) -> Any:
-        """``value*``, raising :class:`DecisionError` when undefined."""
-        if self.star is None:
-            raise DecisionError(
-                f"semiring {self.name!r} has no star operation; "
-                "matrix star is only defined for loop-free matrices here"
-            )
-        return self.star(value)
 
     # Specs are immutable bundles of constants and functions, so copying is
     # identity — this also keeps deepcopy of matrices (which would otherwise
@@ -152,7 +136,6 @@ EXT_NAT = _register(SemiringSpec(
     add=operator.add,
     mul=operator.mul,
     is_zero=lambda value: value.is_zero,
-    star=ExtNat.star,
 ))
 """``N̄``: the complete star semiring of Def. A.1 (``INF`` available)."""
 
@@ -164,15 +147,8 @@ BOOL = _register(SemiringSpec(
     add=operator.or_,
     mul=operator.and_,
     is_zero=operator.not_,
-    star=lambda value: True,
 ))
-"""Boolean semiring; matrix star = reflexive-transitive closure."""
-
-
-def _fraction_star(value: Fraction) -> Fraction:
-    if value == 1:
-        raise DecisionError("Fraction star undefined at 1 (geometric sum diverges)")
-    return Fraction(1) / (Fraction(1) - value)
+"""Boolean semiring: supports, adjacency and reachability."""
 
 
 FRACTION = _register(SemiringSpec(
@@ -182,6 +158,5 @@ FRACTION = _register(SemiringSpec(
     add=operator.add,
     mul=operator.mul,
     is_zero=lambda value: value == 0,
-    star=_fraction_star,
 ))
-"""The field ``Q``; star is the geometric sum, partial (undefined at 1)."""
+"""The field ``Q`` (Tzeng's exact rational arithmetic)."""

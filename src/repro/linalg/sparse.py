@@ -2,23 +2,11 @@
 
 :class:`SparseMatrix` stores only non-zero entries, as ``rows[i][j] =
 value`` — a CSR-flavoured layout chosen because every hot consumer in the
-decision pipeline walks whole rows: ε-closure and letter-matrix assembly in
+decision pipeline walks whole rows: letter-matrix assembly in
 :func:`repro.automata.wfa.expr_to_wfa`, left-vector propagation in Tzeng's
-algorithm, and Boolean reachability.  Thompson-construction matrices have
-~2 non-zeros per row, so the sparse product runs in ``O(Σ_i nnz(row_i) ·
-avg nnz)`` instead of the dense ``Θ(n³)``.
-
-``star`` keeps the classical 2×2 block decomposition (valid in any
-complete star semiring) but exploits sparsity twice:
-
-* **loop-free short-circuit** — a matrix whose support digraph is acyclic
-  is nilpotent, so ``M* = I + M + M² + … + M^{n-1}`` is a *finite* sum
-  needing no scalar star at all (this also makes ``star`` total over
-  semirings without a star, e.g. strictly-upper-triangular matrices over
-  ``Q``);
-* **zero-block pruning** — when the off-diagonal blocks ``B``/``C`` vanish
-  the formula collapses to a block diagonal/triangular star, skipping the
-  eight block products of the general case.
+algorithm, and Boolean reachability.  The module holds no matrix product
+or star: the position automaton needs neither, and the vector kernels
+below cost ``O(nnz)`` of the rows they touch.
 
 All shape violations raise :class:`repro.util.errors.DecisionError` with
 the offending shapes in the message (never ``IndexError``).
@@ -26,7 +14,7 @@ the offending shapes in the message (never ``IndexError``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.linalg import kernels
 from repro.linalg.semiring import SemiringSpec
@@ -69,14 +57,6 @@ class SparseMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int, semiring: SemiringSpec) -> "SparseMatrix":
         return cls(nrows, ncols, semiring)
-
-    @classmethod
-    def identity(cls, n: int, semiring: SemiringSpec) -> "SparseMatrix":
-        result = cls(n, n, semiring)
-        one = semiring.one
-        for i in range(n):
-            result.rows[i] = {i: one}
-        return result
 
     @classmethod
     def from_dense(
@@ -163,11 +143,6 @@ class SparseMatrix:
                 if not is_zero(value):
                     yield i, j, value
 
-    def copy(self) -> "SparseMatrix":
-        result = SparseMatrix(self.nrows, self.ncols, self.semiring)
-        result.rows = {i: dict(row) for i, row in self.rows.items()}
-        return result
-
     def to_dense(self) -> List[List[Any]]:
         zero = self.semiring.zero
         dense = [[zero] * self.ncols for _ in range(self.nrows)]
@@ -213,325 +188,6 @@ class SparseMatrix:
             f"SparseMatrix({self.nrows}×{self.ncols} over "
             f"{self.semiring.name}, nnz={self.nnz})"
         )
-
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DecisionError(
-                f"matrix addition shape mismatch: ({self.nrows}, {self.ncols}) "
-                f"vs ({other.nrows}, {other.ncols})"
-            )
-        plus, is_zero = self.semiring.add, self.semiring.is_zero
-        result = self.copy()
-        for i, row in other.rows.items():
-            target = result.rows.setdefault(i, {})
-            for j, value in row.items():
-                existing = target.get(j)
-                total = value if existing is None else plus(existing, value)
-                if is_zero(total):
-                    target.pop(j, None)
-                else:
-                    target[j] = total
-            if not target:
-                del result.rows[i]
-        return result
-
-    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.ncols != other.nrows:
-            raise DecisionError(
-                f"matrix product shape mismatch: ({self.nrows}, {self.ncols}) "
-                f"· ({other.nrows}, {other.ncols})"
-            )
-        fast = kernels.try_mul(self, other)
-        if fast is not None:
-            return fast
-        plus, times = self.semiring.add, self.semiring.mul
-        is_zero = self.semiring.is_zero
-        result = SparseMatrix(self.nrows, other.ncols, self.semiring)
-        other_rows = other.rows
-        for i, row in self.rows.items():
-            accum: Dict[int, Any] = {}
-            for k, coeff in row.items():
-                other_row = other_rows.get(k)
-                if other_row is None:
-                    continue
-                for j, value in other_row.items():
-                    term = times(coeff, value)
-                    if is_zero(term):
-                        continue
-                    existing = accum.get(j)
-                    accum[j] = term if existing is None else plus(existing, term)
-            accum = {j: v for j, v in accum.items() if not is_zero(v)}
-            if accum:
-                result.rows[i] = accum
-        return result
-
-    __add__ = add
-    __matmul__ = mul
-
-    # -- star --------------------------------------------------------------
-
-    def is_acyclic(self) -> bool:
-        """Whether the support digraph (edge ``i→j`` per non-zero) is a DAG."""
-        indegree: Dict[int, int] = {}
-        for i, row in self.rows.items():
-            for j in row:
-                indegree[j] = indegree.get(j, 0) + 1
-        ready = [i for i in self.rows if indegree.get(i, 0) == 0]
-        removed = 0
-        total_edges = sum(len(row) for row in self.rows.values())
-        while ready:
-            node = ready.pop()
-            for j in self.rows.get(node, {}):
-                removed += 1
-                indegree[j] -= 1
-                if indegree[j] == 0 and j in self.rows:
-                    ready.append(j)
-        return removed == total_edges
-
-    def star(self) -> "SparseMatrix":
-        """``M* = Σ_k M^k`` for a square sparse matrix.
-
-        Dispatches per structure: empty → identity; loop-free (acyclic
-        support) → finite nilpotent sum; otherwise the recursive 2×2 block
-        formula with all-zero off-diagonal blocks pruned.
-        """
-        if self.nrows != self.ncols:
-            raise DecisionError(
-                f"matrix star requires a square matrix, got "
-                f"({self.nrows}, {self.ncols})"
-            )
-        if not self.rows:
-            return SparseMatrix.identity(self.nrows, self.semiring)
-        fast = kernels.try_star(self)
-        if fast is not None:
-            return fast
-        if self.is_acyclic():
-            return self._nilpotent_star()
-        return self._block_star()
-
-    def _nilpotent_star(self) -> "SparseMatrix":
-        """``I + M + M² + …`` — terminates because the support is acyclic."""
-        result = SparseMatrix.identity(self.nrows, self.semiring)
-        power = self
-        while power.rows:
-            result = result.add(power)
-            power = power.mul(self)
-        return result
-
-    def _submatrix(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "SparseMatrix":
-        result = SparseMatrix(row_hi - row_lo, col_hi - col_lo, self.semiring)
-        for i, row in self.rows.items():
-            if not (row_lo <= i < row_hi):
-                continue
-            picked = {j - col_lo: v for j, v in row.items() if col_lo <= j < col_hi}
-            if picked:
-                result.rows[i - row_lo] = picked
-        return result
-
-    def _paste(self, target_rows: Dict[int, Dict[int, Any]], row_off: int, col_off: int) -> None:
-        for i, row in self.rows.items():
-            if row:
-                target_rows.setdefault(i + row_off, {}).update(
-                    {j + col_off: v for j, v in row.items()}
-                )
-
-    def _block_star(self) -> "SparseMatrix":
-        n = self.nrows
-        if n == 1:
-            result = SparseMatrix(1, 1, self.semiring)
-            result.set(0, 0, self.semiring.scalar_star(self.rows[0][0]))
-            return result
-        half = n // 2
-        a = self._submatrix(0, half, 0, half)
-        b = self._submatrix(0, half, half, n)
-        c = self._submatrix(half, n, 0, half)
-        d = self._submatrix(half, n, half, n)
-
-        result = SparseMatrix(n, n, self.semiring)
-        if not b.rows and not c.rows:
-            # Block diagonal: star acts independently on the two blocks.
-            a.star()._paste(result.rows, 0, 0)
-            d.star()._paste(result.rows, half, half)
-            return result
-        if not c.rows:
-            # Block upper triangular: [[A*, A*·B·D*], [0, D*]].
-            a_star, d_star = a.star(), d.star()
-            a_star._paste(result.rows, 0, 0)
-            a_star.mul(b).mul(d_star)._paste(result.rows, 0, half)
-            d_star._paste(result.rows, half, half)
-            return result
-        if not b.rows:
-            # Block lower triangular: [[A*, 0], [D*·C·A*, D*]].
-            a_star, d_star = a.star(), d.star()
-            a_star._paste(result.rows, 0, 0)
-            d_star.mul(c).mul(a_star)._paste(result.rows, half, 0)
-            d_star._paste(result.rows, half, half)
-            return result
-        # General case: F = (A + B·D*·C)*.
-        d_star = d.star()
-        f = a.add(b.mul(d_star).mul(c)).star()
-        fb_dstar = f.mul(b).mul(d_star)
-        dstar_c = d_star.mul(c)
-        dstar_cf = dstar_c.mul(f)
-        f._paste(result.rows, 0, 0)
-        fb_dstar._paste(result.rows, 0, half)
-        dstar_cf._paste(result.rows, half, 0)
-        d_star.add(dstar_cf.mul(b).mul(d_star))._paste(result.rows, half, half)
-        return result
-
-    # -- SCC-condensation star (intra-expression parallel ε-elimination) ----
-
-    def scc_condensation(self) -> List[List[int]]:
-        """SCCs of the support digraph, in **topological order**.
-
-        Iterative Tarjan (no recursion limit risk at Thompson sizes).
-        Tarjan emits components in reverse topological order of the
-        condensation DAG, so the returned list is the reversal: every
-        support edge crosses from an earlier component to a later one (or
-        stays inside its component).
-        """
-        n = self.nrows
-        successors = {i: list(row) for i, row in self.rows.items()}
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: List[int] = []
-        components: List[List[int]] = []
-        counter = 0
-        for root in range(n):
-            if index[root] != -1:
-                continue
-            work: List[Tuple[int, int]] = [(root, 0)]
-            while work:
-                node, progress = work[-1]
-                if progress == 0:
-                    index[node] = low[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack[node] = True
-                descended = False
-                succ = successors.get(node, ())
-                for position in range(progress, len(succ)):
-                    target = succ[position]
-                    if index[target] == -1:
-                        work[-1] = (node, position + 1)
-                        work.append((target, 0))
-                        descended = True
-                        break
-                    if on_stack[target] and index[target] < low[node]:
-                        low[node] = index[target]
-                if descended:
-                    continue
-                if low[node] == index[node]:
-                    component: List[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-        components.reverse()
-        return components
-
-    def _permuted(self, perm: Sequence[int]) -> "SparseMatrix":
-        """The matrix with rows/columns reordered so position ``p`` holds
-        original index ``perm[p]`` (square matrices only)."""
-        position = {original: p for p, original in enumerate(perm)}
-        result = SparseMatrix(self.nrows, self.ncols, self.semiring)
-        for i, row in self.rows.items():
-            result.rows[position[i]] = {position[j]: v for j, v in row.items()}
-        return result
-
-    def star_parallel(
-        self,
-        block_executor: Callable[[List["SparseMatrix"]], List[Optional["SparseMatrix"]]],
-        target_blocks: int = 4,
-    ) -> "SparseMatrix":
-        """``star()`` by SCC-condensation blocks, diagonal stars delegated.
-
-        The support digraph's condensation orders the states so the
-        permuted matrix is block upper triangular; consecutive components
-        coalesce into ~``target_blocks`` segments of balanced state count.
-        The diagonal blocks' stars are **independent** — they are handed to
-        ``block_executor`` as a list (the engine runs them concurrently on
-        its worker pool; any ``None`` in the reply is computed locally) —
-        and the off-diagonal closure follows by block back-substitution:
-        ``C_ii = A_ii*``, ``C_ij = C_ii · Σ_{l>i} A_il · C_lj``.
-
-        Exact in any complete star semiring, and equal to :meth:`star` by
-        the uniqueness of the closure; the result is independent of how the
-        executor scheduled the blocks.
-        """
-        if self.nrows != self.ncols:
-            raise DecisionError(
-                f"matrix star requires a square matrix, got "
-                f"({self.nrows}, {self.ncols})"
-            )
-        if not self.rows:
-            return SparseMatrix.identity(self.nrows, self.semiring)
-        components = self.scc_condensation()
-        if len(components) <= 1:
-            return self.star()
-        segments: List[List[int]] = []
-        budget = max(1, self.nrows // max(1, int(target_blocks)))
-        current: List[int] = []
-        for component in components:
-            current.extend(component)
-            if len(current) >= budget and len(segments) + 1 < target_blocks:
-                segments.append(current)
-                current = []
-        if current:
-            segments.append(current)
-        if len(segments) <= 1:
-            return self.star()
-        perm = [state for segment in segments for state in segment]
-        permuted = self._permuted(perm)
-        bounds: List[Tuple[int, int]] = []
-        offset = 0
-        for segment in segments:
-            bounds.append((offset, offset + len(segment)))
-            offset += len(segment)
-        diagonals = [permuted._submatrix(lo, hi, lo, hi) for lo, hi in bounds]
-        stars = list(block_executor(diagonals))
-        closed: Dict[Tuple[int, int], SparseMatrix] = {}
-        for b, starred in enumerate(stars):
-            closed[(b, b)] = starred if starred is not None else diagonals[b].star()
-        count = len(segments)
-        for i in range(count - 2, -1, -1):
-            row_lo, row_hi = bounds[i]
-            for j in range(i + 1, count):
-                col_lo, col_hi = bounds[j]
-                accum: Optional[SparseMatrix] = None
-                for mid in range(i + 1, j + 1):
-                    target = closed.get((mid, j))
-                    if target is None:
-                        continue  # an all-zero block contributes nothing
-                    mid_lo, mid_hi = bounds[mid]
-                    edge = permuted._submatrix(row_lo, row_hi, mid_lo, mid_hi)
-                    if not edge.rows:
-                        continue
-                    term = edge.mul(target)
-                    accum = term if accum is None else accum.add(term)
-                if accum is not None and accum.rows:
-                    block = closed[(i, i)].mul(accum)
-                    if block.rows:
-                        closed[(i, j)] = block
-        assembled = SparseMatrix(self.nrows, self.ncols, self.semiring)
-        for (i, j), block in closed.items():
-            block._paste(assembled.rows, bounds[i][0], bounds[j][0])
-        # Undo the permutation: original index perm[p] lives at position p.
-        inverse = [0] * self.nrows
-        for p, original in enumerate(perm):
-            inverse[original] = p
-        return assembled._permuted(inverse)
 
 
 # -- vector kernels ----------------------------------------------------------

@@ -12,7 +12,7 @@ Two scopes of registry exist:
   :func:`clear_all_caches`, re-exported as
   :func:`repro.core.decision.cache_stats` /
   :func:`repro.core.decision.clear_caches`) holds the pure, process-wide
-  memos — ``rewrite.flatten``, ``wfa.fragments``, ``expr.alphabet`` — plus
+  memos — ``rewrite.flatten``, ``planner.letters``, ``expr.alphabet`` — plus
   the caches of the *default* engine session;
 * each :class:`repro.engine.NKAEngine` owns a **private**
   :class:`CacheRegistry` for its compile/verdict caches, so multiple

@@ -3,8 +3,8 @@
 Deterministic given a seed, dependency-free (plain :mod:`random`), and
 shared by the property, metamorphic and cache test suites plus the
 benchmarks.  Sizes are kept small enough that the decision procedure stays
-fast (star nesting is the cost driver — ε-closures grow with automaton
-size), while still exercising every constructor and the 0/1 edge cases.
+fast (star nesting is the cost driver), while still exercising every
+constructor and the 0/1 edge cases.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def random_int_entries(
 
     ``density`` is the probability that a cell carries an entry; values are
     drawn uniformly from ``[lo, hi] \\ {0}``.  Shared by the linear-algebra
-    backend property tests, which map the integers into each weight
-    semiring (``ExtNat(v)``, ``Fraction(v)``, ``bool(v)``).
+    backend property tests, which map the integers into a weight semiring
+    (``ExtNat(v)``, ``bool(v)``).
     """
     entries: List[Tuple[int, int, int]] = []
     for i in range(nrows):
@@ -155,26 +155,6 @@ def random_int_entries(
                 if value != 0:
                     entries.append((i, j, value))
     return entries
-
-
-def random_strictly_upper_entries(
-    rng: random.Random,
-    n: int,
-    density: float = 0.4,
-    lo: int = -3,
-    hi: int = 3,
-) -> List[Tuple[int, int, int]]:
-    """Seeded entries above the diagonal only — a loop-free (nilpotent) matrix.
-
-    Nilpotent matrices are the case where ``star`` is a finite sum needing
-    no scalar star, so they are the star test bed for semirings without a
-    total star (e.g. ``Fraction``).
-    """
-    return [
-        (i, j, v)
-        for (i, j, v) in random_int_entries(rng, n, n, density, lo, hi)
-        if i < j
-    ]
 
 
 def short_words(

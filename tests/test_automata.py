@@ -9,9 +9,6 @@ from repro.automata.wfa import (
     drop_infinite_weights,
     expr_to_wfa,
     infinity_support_nfa,
-    matrix_add,
-    matrix_mul,
-    matrix_star,
     restrict_to_dfa,
 )
 from repro.core.parser import parse
@@ -65,30 +62,6 @@ class TestNFADFA:
         assert not dfa.is_empty()
         empty = dfa_product_intersection(dfa, dfa.complement())
         assert empty.is_empty()
-
-
-class TestMatrixStar:
-    def test_scalar(self):
-        assert matrix_star([[ZERO]]) == [[ONE]]
-        assert matrix_star([[ONE]]) == [[INF]]
-
-    def test_nilpotent(self):
-        # Strictly upper triangular: star is I + M.
-        m = [[ZERO, ExtNat(3)], [ZERO, ZERO]]
-        star = matrix_star(m)
-        assert star[0][0] == ONE and star[0][1] == ExtNat(3)
-        assert star[1][0] == ZERO and star[1][1] == ONE
-
-    def test_cycle_gives_infinity(self):
-        m = [[ZERO, ONE], [ONE, ZERO]]
-        star = matrix_star(m)
-        assert all(star[i][j] == INF for i in range(2) for j in range(2))
-
-    def test_mul_add(self):
-        a = [[ONE, ZERO], [ZERO, ONE]]
-        b = [[ExtNat(2), ONE], [ZERO, ExtNat(3)]]
-        assert matrix_mul(a, b) == b
-        assert matrix_add(b, b)[0][0] == ExtNat(4)
 
 
 class TestExprToWFA:

@@ -12,9 +12,8 @@ Five surfaces:
   module list itself is pinned;
 * **engine wiring** — ``NKAEngine(store=...)`` / ``REPRO_COMPILE_STORE``
   serve compiles from the store (zero parent compilations on a warm
-  store), publish fresh ones, surface a ``store`` stats section, ship the
-  store to pool workers, and auto-route dominant expressions through block
-  ε-elimination (``auto_parallel_compilations``);
+  store), publish fresh ones, surface a ``store`` stats section, and ship
+  the store to pool workers;
 * **concurrency** — N processes publishing and reading the same digests
   concurrently, and a publisher SIGKILLed mid-stream, must leave no
   visible torn entry (every survivor loads cleanly, temp debris stays
@@ -38,7 +37,6 @@ import pytest
 from gen import random_pairs
 
 from repro.core.expr import Star, product_of, sum_of, sym
-from repro.core.parser import parse
 from repro.engine import NKAEngine, WarmStateError, pipeline_fingerprint
 from repro.engine import persist
 from repro.engine.pool import pool_context
@@ -515,32 +513,6 @@ class TestEngineWiring:
         with NKAEngine("fleet-sub", store=root) as served:
             served.equal_many_detailed(pairs, workers=1)
             assert served.compilations == 0
-
-    def test_auto_parallel_on_dominant_expression(self, monkeypatch):
-        """Satellite: a small batch dominated by one big expression routes
-        it through block ε-elimination automatically."""
-        monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
-        # One expression far above PARALLEL_EPSILON_MIN_STATES states...
-        big = parse("(" + " + ".join(f"a{i}* . b{i}" for i in range(40)) + ")*")
-        small = [
-            (sym(f"x{i}"), sym(f"y{i}")) for i in range(3)
-        ]  # ...plus a few trivial tasks: below MIN_TASKS_FOR_POOL total.
-        pairs = [(big, sym("z"))] + small
-        reference = NKAEngine("auto-ref").equal_many_detailed(pairs, workers=1)
-        with NKAEngine("auto-par", workers=2) as engine:
-            verdicts = engine.equal_many_detailed(pairs, workers=2)
-            stats = engine.stats()
-            assert stats["kernel"]["auto_parallel_compilations"] == 1
-            assert stats["last_batch"]["executor"]["mode"] == "sequential"
-        assert pickle.dumps(reference) == pickle.dumps(verdicts)
-
-    def test_no_auto_parallel_without_dominant_expression(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
-        pairs = [(sym(f"x{i}"), sym(f"y{i}")) for i in range(4)]
-        with NKAEngine("auto-none", workers=2) as engine:
-            engine.equal_many_detailed(pairs, workers=2)
-            assert engine.stats()["kernel"]["auto_parallel_compilations"] == 0
-
 
 # -- multiprocess stress --------------------------------------------------------
 #

@@ -1,7 +1,7 @@
 """Tests for the NKA decision procedure (Theorem A.6 / Remark 2.1)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.decision import (
     coefficient,
@@ -148,6 +148,14 @@ def _expr_strategy(depth: int = 3) -> st.SearchStrategy[Expr]:
 class TestAgainstDirectSeries:
     @given(_expr_strategy())
     @settings(max_examples=60, deadline=None)
+    # The position construction's c(E)* crossing rules: ε-coefficients
+    # under stars, products and sums, nested and repeated.
+    @example(parse("(1 + a)*"))
+    @example(parse("(1*)*"))
+    @example(parse("0*"))
+    @example(parse("((a* b*)*)*"))
+    @example(parse("(a* + 1)(b + 1)*"))
+    @example(parse("(a + a)*"))
     def test_automaton_matches_direct_evaluation(self, expr):
         """The WFA pipeline and the Definition A.3/A.4 evaluator agree."""
         truncated = series_of_expr(expr, max_length=3, alphabet=_LETTERS)

@@ -4,7 +4,7 @@ Kappé–Silva–Wagemaker's survey point, operationalised: a decision-procedure
 implementation is only trustworthy if every execution strategy conforms to
 the same algebraic semantics.  While PR 5 rebuilt the executor around a
 persistent worker pool, this suite pins the conformance surface: a seeded
-200-pair corpus is decided by
+203-pair corpus is decided by
 
 (a) the **pooled parallel** engine (persistent workers, warm-back channel,
     steal-aware chunks),
@@ -35,10 +35,11 @@ import pytest
 
 from gen import random_pairs
 
+from repro.core.expr import Product, Star, Sum, Symbol, product_of
 from repro.engine import NKAEngine
 
 
-# Four seeded slices, 200 pairs total: varied alphabets/depths/star biases.
+# Four seeded slices, 200 pairs: varied alphabets/depths/star biases.
 CORPUS_SPECS = (
     dict(seed=5001, count=60, letters=("a", "b", "c"), depth=3,
          equal_fraction=0.15, star_bias=0.2),
@@ -50,14 +51,27 @@ CORPUS_SPECS = (
          equal_fraction=0.1, star_bias=0.35),
 )
 
-CORPUS_SIZE = 200
+CORPUS_SIZE = 203
+
+
+def _wide_pairs():
+    """Three 80-position pairs: the seeded slices' position automata stay
+    below every vectorization threshold, these route through the numpy
+    reachability, subset-step and RowSpace kernels."""
+    a, b = Symbol("a"), Symbol("b")
+    wide = product_of([Star(Sum(a, b))] * 40)
+    return [
+        (wide, product_of([Star(Sum(b, a))] * 40)),
+        (wide, Product(wide, a)),
+        (Star(Sum(wide, Star(Product(a, b)))), Star(wide)),
+    ]
 
 
 def _corpus():
     pairs = []
     for spec in CORPUS_SPECS:
         pairs.extend(random_pairs(**spec))
-    return pairs
+    return pairs + _wide_pairs()
 
 
 @pytest.fixture(scope="module")

@@ -5,19 +5,16 @@ vectorized fast path either returns **exactly** what the pure-python
 oracle returns or declines back to it, and that declines are *observable*
 (per-op fallback counters).  This suite holds both promises to the flame:
 
-* operation-level parity on seeded random inputs — ``star``, ``mul``,
-  ``reachable``, NFA subset steps, ``RowSpace`` elimination, SCC
-  condensation and the parallel block star;
-* boundary cases that MUST decline: ``∞`` weights, entries at/beyond the
-  float64 exact-integer range (2⁵³), closures whose path counts overflow
-  it, int64 overflow in the fraction-free elimination — each asserted to
-  take the fallback path via :func:`repro.linalg.kernels.fallback_count`
-  *and* to produce the oracle's bytes anyway;
+* operation-level parity on seeded random inputs — ``reachable``, NFA
+  subset steps and ``RowSpace`` elimination;
+* boundary cases that MUST decline: int64 overflow in the fraction-free
+  elimination — asserted to take the fallback path via
+  :func:`repro.linalg.kernels.fallback_count` *and* to produce the
+  oracle's bytes anyway;
 * pipeline-level parity — the :mod:`tests.gen` property workload decided
   under ``NKAEngine(kernel="python")`` vs ``kernel="numpy"``: verdicts
   and counterexample words must be pickled-bytes-identical, and compiled
-  automata semantically equal (including via the engine's parallel
-  ε-elimination path).
+  automata semantically equal.
 """
 
 import pickle
@@ -27,10 +24,9 @@ import pytest
 
 from gen import random_int_entries, random_pairs
 
-from repro.core.expr import Product, Star, Sum, Symbol
-from repro.core.semiring import ExtNat, INF, ONE
+from repro.core.expr import Product, Star, Sum, Symbol, product_of
 from repro.engine import NKAEngine
-from repro.linalg import BOOL, EXT_NAT, RowSpace, SparseMatrix, kernels, reachable
+from repro.linalg import BOOL, RowSpace, SparseMatrix, kernels, reachable
 from repro.linalg.kernels import KernelBackendError, numpy_backend
 
 pytestmark = pytest.mark.skipif(
@@ -43,22 +39,6 @@ def _fresh_counters():
     kernels.reset_kernel_stats()
     yield
     kernels.reset_kernel_stats()
-
-
-def _ext_nat_matrix(rng, n, density=0.3, hi=3, inf_fraction=0.0):
-    matrix = SparseMatrix(n, n, EXT_NAT)
-    for i, j, value in random_int_entries(rng, n, n, density, 1, hi):
-        weight = INF if rng.random() < inf_fraction else ExtNat(value)
-        matrix.add_entry(i, j, weight)
-    return matrix
-
-
-def _chain_matrix(length, weight=2):
-    """0 → 1 → … → length with constant weight: closure[0][length] = wᵏ."""
-    matrix = SparseMatrix(length + 1, length + 1, EXT_NAT)
-    for i in range(length):
-        matrix.add_entry(i, i + 1, ExtNat(weight))
-    return matrix
 
 
 class TestBackendSelection:
@@ -86,103 +66,12 @@ class TestBackendSelection:
             section = engine.stats()["kernel"]
         assert section["configured"] == "numpy"
         assert section["numpy_available"] is True
-        assert set(section["ops"]) == {
-            "star", "mul", "reachable", "rowspace", "nfa_successors"
-        }
+        assert set(section["ops"]) == {"reachable", "rowspace", "nfa_successors"}
         for counts in section["ops"].values():
             assert counts["fallback_total"] == sum(counts["fallbacks"].values())
 
 
-class TestStarParity:
-    def test_random_ext_nat_matrices_match_oracle(self):
-        rng = random.Random(71)
-        for _ in range(60):
-            n = rng.randint(numpy_backend.STAR_MIN_STATES, 24)
-            matrix = _ext_nat_matrix(rng, n, density=0.25, hi=3)
-            if rng.random() < 0.5:
-                matrix.add_entry(rng.randrange(n), rng.randrange(n), ONE)
-            with kernels.use_backend("python"):
-                oracle = matrix.star()
-            with kernels.use_backend("numpy"):
-                fast = matrix.star()
-            assert fast == oracle
-        assert kernels.kernel_stats()["ops"]["star"]["vectorized"] > 0
-
-    def test_bool_star_matches_oracle(self):
-        rng = random.Random(72)
-        for _ in range(30):
-            n = rng.randint(numpy_backend.STAR_MIN_STATES, 30)
-            matrix = SparseMatrix(n, n, BOOL)
-            for i, j, _ in random_int_entries(rng, n, n, 0.2, 1, 1):
-                matrix.add_entry(i, j, True)
-            with kernels.use_backend("python"):
-                oracle = matrix.star()
-            with kernels.use_backend("numpy"):
-                fast = matrix.star()
-            assert fast == oracle
-
-    def test_infinite_weight_takes_fallback_and_matches(self):
-        rng = random.Random(73)
-        matrix = _ext_nat_matrix(rng, 12, density=0.3, inf_fraction=0.2)
-        matrix.add_entry(0, 1, INF)  # at least one ∞ guaranteed
-        before = kernels.fallback_count("star", "infinite_weight")
-        with kernels.use_backend("numpy"):
-            fast = matrix.star()
-        # The oracle's recursive block decomposition may re-enter try_star
-        # on ∞-carrying sub-blocks, so the counter moves by at least one.
-        assert kernels.fallback_count("star", "infinite_weight") > before
-        with kernels.use_backend("python"):
-            assert fast == matrix.star()
-
-    def test_wide_entry_takes_fallback_and_matches(self):
-        matrix = _chain_matrix(6)
-        matrix.add_entry(2, 3, ExtNat(numpy_backend.MAX_EXACT_INT))
-        before = kernels.fallback_count("star", "wide_weight")
-        with kernels.use_backend("numpy"):
-            fast = matrix.star()
-        assert kernels.fallback_count("star", "wide_weight") > before
-        with kernels.use_backend("python"):
-            assert fast == matrix.star()
-
-    def test_overflow_boundary_vectorizes_below_and_declines_above(self):
-        # 2^52 < 2^53: exactly representable, must vectorize and be exact.
-        below = _chain_matrix(52)
-        with kernels.use_backend("numpy"):
-            fast = below.star()
-        assert kernels.fallback_count("star", "overflow") == 0
-        assert kernels.kernel_stats()["ops"]["star"]["vectorized"] == 1
-        assert fast.get(0, 52) == ExtNat(2 ** 52)
-        # 2^54 ≥ 2^53: the closure check must refuse the float64 result.
-        above = _chain_matrix(54)
-        with kernels.use_backend("numpy"):
-            fast = above.star()
-        assert kernels.fallback_count("star", "overflow") == 1
-        assert fast.get(0, 54) == ExtNat(2 ** 54)  # oracle bytes anyway
-        with kernels.use_backend("python"):
-            assert fast == above.star()
-
-    def test_small_matrices_decline_below_threshold(self):
-        tiny = SparseMatrix(2, 2, EXT_NAT)
-        tiny.add_entry(0, 1, ONE)
-        with kernels.use_backend("numpy"):
-            starred = tiny.star()
-        assert kernels.fallback_count("star", "below_threshold") == 1
-        assert starred.get(0, 1) == ONE
-
-
 class TestMulReachableParity:
-    def test_large_mul_matches_oracle(self):
-        rng = random.Random(74)
-        n = 40  # 1600 cells ≥ MUL_MIN_CELLS
-        a = _ext_nat_matrix(rng, n, density=0.15, hi=4)
-        b = _ext_nat_matrix(rng, n, density=0.15, hi=4)
-        with kernels.use_backend("python"):
-            oracle = a.mul(b)
-        with kernels.use_backend("numpy"):
-            fast = a.mul(b)
-        assert fast == oracle
-        assert kernels.kernel_stats()["ops"]["mul"]["vectorized"] == 1
-
     def test_reachable_matches_oracle_on_large_graphs(self):
         rng = random.Random(75)
         for _ in range(10):
@@ -290,25 +179,6 @@ class TestRowSpaceParity:
         assert mixed._rows == oracle._rows
 
 
-class TestParallelBlockStar:
-    def test_star_parallel_matches_star(self):
-        rng = random.Random(80)
-        for _ in range(15):
-            n = rng.randint(12, 50)
-            matrix = _ext_nat_matrix(rng, n, density=0.08, hi=2)
-            sequential = matrix.star()
-            parallel = matrix.star_parallel(
-                lambda blocks: [block.star() for block in blocks]
-            )
-            assert parallel == sequential
-
-    def test_executor_declines_are_computed_locally(self):
-        rng = random.Random(81)
-        matrix = _ext_nat_matrix(rng, 40, density=0.08, hi=2)
-        parallel = matrix.star_parallel(lambda blocks: [None] * len(blocks))
-        assert parallel == matrix.star()
-
-
 # One batch of the gen.py property workload, shared by the engine tests.
 PIPELINE_SPECS = (
     dict(seed=9001, count=40, letters=("a", "b"), depth=4,
@@ -325,6 +195,16 @@ def pipeline_corpus():
     pairs = []
     for spec in PIPELINE_SPECS:
         pairs.extend(random_pairs(**spec))
+    # The position automata of the gen.py workload stay below every
+    # vectorization threshold; these wide pairs (80+ states) route through
+    # the numpy reachability, subset-step and RowSpace kernels too.
+    a, b = Symbol("a"), Symbol("b")
+    wide = product_of([Star(Sum(a, b))] * 40)
+    pairs += [
+        (wide, product_of([Star(Sum(b, a))] * 40)),
+        (wide, Product(wide, a)),
+        (Star(Sum(wide, Star(Product(a, b)))), Star(wide)),
+    ]
     return pairs
 
 
@@ -342,7 +222,8 @@ class TestEnginePipelineParity:
             )
             assert oracle.counterexample == fast.counterexample
         # The run must actually have exercised the vectorized paths.
-        assert stats["ops"]["star"]["vectorized"] > 0
+        for op in ("reachable", "rowspace", "nfa_successors"):
+            assert stats["ops"][op]["vectorized"] > 0, op
 
     def test_compiled_automata_semantically_equal(self, pipeline_corpus):
         from repro.automata.wfa import expr_to_wfa
@@ -358,40 +239,9 @@ class TestEnginePipelineParity:
             assert fast.final == oracle.final
             assert fast.matrices == oracle.matrices
 
-    def test_parallel_epsilon_elimination_matches_sequential(self):
-        from repro.automata.wfa import (
-            PARALLEL_EPSILON_MIN_STATES,
-            expr_to_wfa,
-            thompson_state_estimate,
-        )
-
-        a, b = Symbol("a"), Symbol("b")
-        big = a
-        while thompson_state_estimate(big) < PARALLEL_EPSILON_MIN_STATES:
-            big = Star(Sum(Product(big, b), a))
-        sequential = expr_to_wfa(big)
-        import os
-
-        previous = os.environ.get("REPRO_ENGINE_OVERSUBSCRIBE")
-        os.environ["REPRO_ENGINE_OVERSUBSCRIBE"] = "1"
-        try:
-            with NKAEngine("kernel-par", kernel="numpy", workers=2) as engine:
-                parallel = engine.compile_parallel(big, workers=2)
-                assert engine.stats()["kernel"]["parallel_compilations"] == 1
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_ENGINE_OVERSUBSCRIBE", None)
-            else:
-                os.environ["REPRO_ENGINE_OVERSUBSCRIBE"] = previous
-        assert parallel.num_states == sequential.num_states
-        assert parallel.initial == sequential.initial
-        assert parallel.final == sequential.final
-        assert parallel.matrices == sequential.matrices
-
     def test_infinity_heavy_expressions_agree(self):
         # {{1*}}[ε] = ∞ and friends: the ∞-support machinery must agree
-        # across backends even though the vectorized star *produces* ∞
-        # weights (cyclic ε-components) rather than declining on them.
+        # across backends.
         from repro.core.expr import One
 
         a = Symbol("a")
@@ -425,7 +275,7 @@ class TestThreadSafety:
             while not stop.is_set():
                 try:
                     kernels.kernel_stats()
-                    kernels.fallback_count("star")
+                    kernels.fallback_count("rowspace")
                 except RuntimeError as error:
                     errors.append(error)
                     return
@@ -435,8 +285,8 @@ class TestThreadSafety:
                 # Fresh reason strings grow the per-op fallbacks dict on
                 # every record — exactly what tears an unlocked snapshot.
                 for index in range(4000):
-                    kernels.record_fallback("star", f"hammer-reason-{index}")
-                    kernels.record_vectorized("mul")
+                    kernels.record_fallback("rowspace", f"hammer-reason-{index}")
+                    kernels.record_vectorized("reachable")
             finally:
                 stop.set()
 
