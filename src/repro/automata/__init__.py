@@ -1,7 +1,7 @@
 """Weighted and Boolean finite automata (substrate for the NKA decision procedure)."""
 
 from repro.automata.equivalence import EquivalenceResult, tzeng_equivalent, wfa_equivalent
-from repro.automata.nfa import DFA, NFA, determinize, dfa_equivalent, dfa_product_intersection
+from repro.automata.nfa import DFA, NFA, determinize, dfa_equivalent
 from repro.automata.wfa import (
     WFA,
     drop_infinite_weights,
@@ -15,7 +15,6 @@ __all__ = [
     "DFA",
     "determinize",
     "dfa_equivalent",
-    "dfa_product_intersection",
     "WFA",
     "expr_to_wfa",
     "infinity_support_nfa",

@@ -10,9 +10,11 @@ This implements the decision procedure promised by the paper's Remark 2.1
    decided by subset construction + product BFS, which also yields a
    distinguishing word on failure.
 2. **Finite parts.**  On the complement of the (common) infinity support,
-   both series take values in ``N ⊂ Q``.  After zeroing the ``∞`` weights
-   and restricting to the complement language (Hadamard product with a
-   DFA), equality of the two ``Q``-weighted automata is decided by Tzeng's
+   both series take values in ``N ⊂ Q``.  Each side's ``∞`` weights are
+   zeroed and it is restricted to the complement language: a Hadamard
+   product with the complement DFA that creates only the reachable
+   ``(state, DFA state)`` pairs (:func:`repro.automata.wfa.restrict_to_dfa`).
+   Equality of the two ``Q``-weighted automata is then decided by Tzeng's
    algorithm: breadth-first exploration of the reachable left-vector space
    with exact linear algebra; at most ``n_A + n_B`` basis vectors exist, so
    the search terminates and failure yields a counterexample word.
@@ -165,13 +167,11 @@ def tzeng_equivalent(left: WFA, right: WFA) -> EquivalenceResult:
     # stays on the python table walk.  A dense int64 matvec (and a COO
     # ``bincount`` variant) were both measured *slower* at every realistic
     # shape — the joint dimension after reachable-projection has median 4
-    # on the engine benchmark, and at large dimensions Thompson-derived
-    # matrices are so sparse (~2 entries/row) that the walk's
-    # zero-source skipping beats O(dim²)/O(nnz) C loops.  The vectorized
-    # wins in this procedure are the basis reduction
-    # (:class:`repro.linalg.RowSpace`, int64 fraction-free fast path) and
-    # the reachability projection in :class:`_TzengSide` — both routed
-    # through :mod:`repro.linalg.kernels` when the numpy backend is active.
+    # on the engine benchmark.  The vectorized wins in this procedure are
+    # the basis reduction (:class:`repro.linalg.RowSpace`, int64
+    # fraction-free fast path) and the reachability projection in
+    # :class:`_TzengSide` — both routed through :mod:`repro.linalg.kernels`
+    # when the numpy backend is active.
     basis = RowSpace(dim)
     queue: List[Tuple[IntVector, Tuple[str, ...]]] = []
     if basis.insert(start):

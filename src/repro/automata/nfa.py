@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.linalg import BOOL, SparseMatrix, kernels, reachable
 
-__all__ = ["NFA", "DFA", "determinize", "dfa_equivalent", "dfa_product_intersection"]
+__all__ = ["NFA", "DFA", "determinize", "dfa_equivalent"]
 
 
 @dataclass
@@ -212,10 +212,6 @@ def determinize(nfa: NFA) -> DFA:
     )
 
 
-def _merge_alphabets(left: DFA, right: DFA) -> FrozenSet[str]:
-    return left.alphabet | right.alphabet
-
-
 def _total_step(dfa: DFA, state: Optional[int], letter: str) -> Optional[int]:
     """Step that treats letters outside ``dfa.alphabet`` as moving to a sink.
 
@@ -234,7 +230,7 @@ def dfa_equivalent(left: DFA, right: DFA) -> Tuple[bool, Optional[List[str]]]:
     over the union alphabet (letters absent from one automaton lead to that
     automaton's implicit sink).
     """
-    alphabet = _merge_alphabets(left, right)
+    alphabet = left.alphabet | right.alphabet
     start = (left.initial, right.initial)
     seen: Set[Tuple[Optional[int], Optional[int]]] = {start}
     queue: List[Tuple[Tuple[Optional[int], Optional[int]], List[str]]] = [(start, [])]
@@ -250,38 +246,3 @@ def dfa_equivalent(left: DFA, right: DFA) -> Tuple[bool, Optional[List[str]]]:
                 seen.add(pair)
                 queue.append((pair, word + [letter]))
     return True, None
-
-
-def dfa_product_intersection(left: DFA, right: DFA) -> DFA:
-    """Product DFA accepting the intersection (over the union alphabet).
-
-    States are reachable pairs; pairs involving an implicit sink are
-    materialised as a concrete dead state so the result stays complete.
-    """
-    alphabet = _merge_alphabets(left, right)
-    start = (left.initial, right.initial)
-    index: Dict[Tuple[Optional[int], Optional[int]], int] = {start: 0}
-    worklist: List[Tuple[Optional[int], Optional[int]]] = [start]
-    transitions: Dict[Tuple[int, str], int] = {}
-    accepting: Set[int] = set()
-    while worklist:
-        pair = worklist.pop()
-        state_id = index[pair]
-        lstate, rstate = pair
-        laccept = lstate is not None and lstate in left.accepting
-        raccept = rstate is not None and rstate in right.accepting
-        if laccept and raccept:
-            accepting.add(state_id)
-        for letter in alphabet:
-            successor = (_total_step(left, lstate, letter), _total_step(right, rstate, letter))
-            if successor not in index:
-                index[successor] = len(index)
-                worklist.append(successor)
-            transitions[(state_id, letter)] = index[successor]
-    return DFA(
-        num_states=len(index),
-        alphabet=alphabet,
-        transitions=transitions,
-        initial=0,
-        accepting=accepting,
-    )

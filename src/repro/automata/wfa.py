@@ -356,34 +356,62 @@ def restrict_to_dfa(wfa: WFA, dfa: DFA) -> WFA:
 
     The result's coefficient on ``w`` is ``wfa.weight(w)`` if ``dfa`` accepts
     ``w`` and ``0`` otherwise.  Letters of ``wfa`` missing from the DFA's
-    alphabet are treated as rejected by the DFA (weight 0).  Only the
-    non-zero transitions of ``wfa`` are enumerated, so the product costs
-    ``O(m · nnz)`` rather than ``m · n²`` per letter.
+    alphabet are treated as rejected by the DFA (weight 0).
+
+    The product is built on the fly: a breadth-first worklist starts from
+    ``(q, dfa.initial)`` for each state ``q`` with non-zero initial weight
+    and follows only the non-zero rows of ``wfa``, numbering a pair
+    ``(state, dfa state)`` the first time it is reached.  Unreachable pairs
+    are never created, so the cost is ``O(reachable pairs × letters + nnz
+    of their rows)`` rather than ``m · nnz`` for all ``n × m`` pairs; the
+    closing :meth:`WFA.trim` drops the pairs that cannot reach a final
+    weight.
     """
-    n, m = wfa.num_states, dfa.num_states
-
-    def pack(state: int, dstate: int) -> int:
-        return state * m + dstate
-
-    product = WFA(
-        num_states=n * m,
-        alphabet=wfa.alphabet,
-        initial=[ZERO for _ in range(n * m)],
-        final=[ZERO for _ in range(n * m)],
-    )
+    letters = [
+        (letter, matrix.rows)
+        for letter, matrix in wfa.matrices.items()
+        if letter in dfa.alphabet
+    ]
+    index: Dict[Tuple[int, int], int] = {}
+    pairs: List[Tuple[int, int]] = []
+    initial: List[ExtNat] = []
     for state, weight in enumerate(wfa.initial):
-        product.initial[pack(state, dfa.initial)] = weight
-    for state, weight in enumerate(wfa.final):
-        for dstate in dfa.accepting:
-            product.final[pack(state, dstate)] = weight
-    for letter, matrix in wfa.matrices.items():
-        if letter not in dfa.alphabet:
-            continue
-        target = product.matrix(letter)
-        for dstate in range(m):
+        if not weight.is_zero:
+            index[(state, dfa.initial)] = len(pairs)
+            pairs.append((state, dfa.initial))
+            initial.append(weight)
+    product_rows: Dict[str, Dict[int, Dict[int, ExtNat]]] = {
+        letter: {} for letter, _ in letters
+    }
+    source = 0
+    while source < len(pairs):  # ``pairs`` grows as the worklist queue
+        state, dstate = pairs[source]
+        for letter, rows in letters:
+            row = rows.get(state)
+            if not row:
+                continue
             dnext = dfa.step(dstate, letter)
-            for i, row in matrix.rows.items():
-                packed_row = target.rows.setdefault(pack(i, dstate), {})
-                for j, weight in row.items():
-                    packed_row[pack(j, dnext)] = weight
+            packed: Dict[int, ExtNat] = {}
+            for target, weight in row.items():
+                pair = (target, dnext)
+                number = index.get(pair)
+                if number is None:
+                    number = index[pair] = len(pairs)
+                    pairs.append(pair)
+                packed[number] = weight
+            product_rows[letter][source] = packed
+        source += 1
+
+    n = len(pairs)
+    product = WFA(
+        num_states=n,
+        alphabet=wfa.alphabet,
+        initial=initial + [ZERO] * (n - len(initial)),
+        final=[
+            wfa.final[state] if dstate in dfa.accepting else ZERO
+            for state, dstate in pairs
+        ],
+    )
+    for letter, rows in product_rows.items():
+        product.matrix(letter).rows = rows
     return product.trim()

@@ -411,7 +411,9 @@ def sum_extended_series(
                 break
             previous_window = window
             window = np.zeros((dim, dim), dtype=complex)
-        if count >= max_terms:
+        # Stop before a geometrically growing series (e.g. the iterates of
+        # ``(1 + 1 + …)*``) overflows float range within ``max_terms``.
+        if count >= max_terms or np.abs(finite_total).max(initial=0.0) > _DIVERGENCE_GUARD:
             exhausted = False
             break
     # An exhausted iterator is a *finite* series — trivially convergent.

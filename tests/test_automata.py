@@ -1,9 +1,12 @@
 """Tests for the automata substrate (NFA/DFA, WFA, exact equivalence)."""
 
+from itertools import product
+
 import pytest
 
+from gen import random_exprs
 from repro.automata.equivalence import tzeng_equivalent, wfa_equivalent
-from repro.automata.nfa import NFA, determinize, dfa_equivalent, dfa_product_intersection
+from repro.automata.nfa import DFA, NFA, determinize, dfa_equivalent
 from repro.automata.wfa import (
     WFA,
     drop_infinite_weights,
@@ -11,6 +14,7 @@ from repro.automata.wfa import (
     infinity_support_nfa,
     restrict_to_dfa,
 )
+from repro.core.expr import Product, Sum, Symbol, alphabet
 from repro.core.parser import parse
 from repro.core.semiring import ExtNat, INF, ONE, ZERO
 
@@ -51,17 +55,17 @@ class TestNFADFA:
         assert not equal
         assert left.accepts(witness) != right.accepts(witness)
 
-    def test_product_intersection(self):
-        dfa = determinize(_nfa_for_a_star_b())
-        inter = dfa_product_intersection(dfa, dfa)
-        assert inter.accepts(["a", "b"])
-        assert not inter.accepts(["a"])
-
     def test_emptiness(self):
         dfa = determinize(_nfa_for_a_star_b())
         assert not dfa.is_empty()
-        empty = dfa_product_intersection(dfa, dfa.complement())
-        assert empty.is_empty()
+        everything = DFA(
+            num_states=1,
+            alphabet=frozenset("ab"),
+            transitions={(0, "a"): 0, (0, "b"): 0},
+            initial=0,
+            accepting={0},
+        )
+        assert everything.complement().is_empty()
 
 
 class TestExprToWFA:
@@ -115,6 +119,45 @@ class TestInfinitySupport:
         restricted = restrict_to_dfa(wfa, dfa)
         assert restricted.weight(("b",)) == ONE
         assert restricted.weight(("a",)) == ZERO
+
+
+def _accepts(dfa: DFA, word) -> bool:
+    """``dfa.accepts`` with letters outside its alphabet rejected."""
+    return set(word) <= dfa.alphabet and dfa.accepts(word)
+
+
+class TestRestrictToDFA:
+    """The on-the-fly Hadamard product against word-by-word evaluation."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_matches_pointwise_restriction(self, seed):
+        # ``y`` occurs only in A (missing from D), ``z`` only in D.
+        exprs = random_exprs(seed, 12, star_bias=0.35)
+        for e, f in zip(exprs, exprs[1:] + exprs[:1]):
+            for g in (e, f):
+                automaton = expr_to_wfa(Sum(e, Product(Symbol("y"), e)))
+                dfa = (
+                    expr_to_wfa(g)
+                    .support_dfa()
+                    .extended_to(alphabet(e) | alphabet(g) | {"z"})
+                    .complement()
+                )
+                assert "y" not in dfa.alphabet and "z" not in automaton.alphabet
+                finite = drop_infinite_weights(automaton)
+                restricted = restrict_to_dfa(finite, dfa)
+                letters = sorted(automaton.alphabet | dfa.alphabet)
+                for length in range(5):
+                    for word in product(letters, repeat=length):
+                        expected = finite.weight(word) if _accepts(dfa, word) else ZERO
+                        assert restricted.weight(word) == expected, (e, g, word)
+
+    def test_finite_part_of_pure_infinity_series_is_empty(self):
+        # Every word is either ∞ or 0, so nothing survives outside the
+        # support; the support DFA has 2^11 states.
+        wfa = expr_to_wfa(parse("1* ((a + c)* a (a + c)" + " (a + c)" * 10 + ")"))
+        finite_language = wfa.support_dfa().complement()
+        restricted = restrict_to_dfa(drop_infinite_weights(wfa), finite_language)
+        assert restricted.num_states == 0
 
 
 class TestEquivalence:

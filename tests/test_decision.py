@@ -126,6 +126,7 @@ class TestLeqRefutation:
 # -- property-based cross-validation against the direct series evaluator --------
 
 _LETTERS = ["a", "b"]
+_CORE = "(a + b)* a (a + b) (a + b) (a + b)"
 
 
 def _expr_strategy(depth: int = 3) -> st.SearchStrategy[Expr]:
@@ -161,6 +162,30 @@ class TestAgainstDirectSeries:
         truncated = series_of_expr(expr, max_length=3, alphabet=_LETTERS)
         for word, value in truncated.coefficients:
             assert coefficient(expr, list(word)) == value
+
+    # The ∞-heavy decide path: a support DFA with 2^(k+1) states, then the
+    # finite parts restricted to its complement (the nkabench
+    # determinization family at k = 3).
+    @pytest.mark.parametrize(
+        "left,right,witness",
+        [
+            (f"1* ({_CORE})", _CORE, ("a", "a", "a", "a")),
+            (f"1* ({_CORE})", f"1* 1* ({_CORE})", None),
+        ],
+    )
+    def test_determinization_family_against_series(self, left, right, witness):
+        left, right = parse(left), parse(right)
+        result = nka_equal_detailed(left, right)
+        assert result.equal == (witness is None)
+        assert result.counterexample == witness
+        if witness is None:
+            l = series_of_expr(left, 5, _LETTERS).as_dict()
+            r = series_of_expr(right, 5, _LETTERS).as_dict()
+            assert l == r
+        else:
+            l = series_of_expr(left, len(witness), _LETTERS).coefficient(witness)
+            r = series_of_expr(right, len(witness), _LETTERS).coefficient(witness)
+            assert l != r
 
     @given(_expr_strategy(), _expr_strategy())
     @settings(max_examples=40, deadline=None)

@@ -139,6 +139,14 @@ class TestSoundnessTransferRandom:
     # far beyond the 1e-6 tolerance here.  Guards now cap the noise floor
     # at ~2e-8; this example keeps both regressions covered.
     @example(expr=Product(Star(Symbol("b")), Sum(ZERO, Symbol("b"))), seed=1)
+    # Pinned: the iterates of this star grow ~4^n, which overflowed float
+    # range inside ``sum_extended_series`` before its 512-term cap (inf in
+    # a finite part, failing the PSD check) until the series stopped at
+    # the divergence guard.
+    @example(
+        expr=Sum(Sum(Star(ZERO), Sum(ONE, ONE)), Star(Product(ONE, Symbol("a")))),
+        seed=3,
+    )
     @settings(max_examples=20, deadline=None)
     def test_fixed_point_instances_transfer(self, expr, seed):
         interp = self._interpretation(seed)
