@@ -17,12 +17,10 @@ batch API:
   behaviour) and gated in CI;
 * **warm start** — a fresh engine loaded from a persisted warm state must
   answer the whole batch with *zero* compilations;
-* **kernel backends** (PR 6) — cold compile + decide under
-  ``NKAEngine(kernel="python")`` vs ``kernel="numpy"``: verdicts must be
-  identical, and the python cold compile must take no longer than the
-  numpy cold compile of the ε-closure pipeline the position automaton
-  replaced (``--check``, :data:`EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS`);
-  per-op vectorized/fallback counters land in the JSON;
+* **cold compile** — a fresh engine compiles then decides the batch
+  (``cold``); the cold compile must take no longer than the numpy cold
+  compile of the ε-closure pipeline the position automaton replaced
+  (``--check``, :data:`EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS`);
 * **compile store** (PR 8) — two fresh engines sharing one
   content-addressed :class:`~repro.engine.store.CompileStore`: the first
   (``store_cold``) compiles + publishes everything, the second
@@ -87,8 +85,8 @@ from repro.linalg import RowSpace, dot, reachable
 # ``kernel_numpy_cold.compile_seconds`` of the Thompson + ε-closure
 # pipeline, the last one with a numpy star kernel: BENCH_engine.json
 # refreshed at that commit (--pairs 240 --workers 1 2 4, best of 5 rounds,
-# 2-core x86_64 box).  The ``--check`` compile gate holds the python
-# backend's cold compile of the position automaton to at most this.
+# 2-core x86_64 box).  The ``--check`` compile gate holds the cold
+# compile of the position automaton to at most this.
 EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS = 0.1939
 
 # -- the PR 3 sequential baseline (union alphabet + dense-iteration Tzeng) ------
@@ -321,64 +319,37 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
         if warm_source is None:
             warm_source = engine
 
-    # -- kernel backends: vectorized (numpy) vs the pure-python oracle -----
-    # Cold compile and decide per backend.  Rounds interleave the backends
-    # so a load spike cannot favour one of them.
-    from repro.linalg import kernels as _kernels
-
-    kernel_backends = [
-        name for name, ok in _kernels.available_backends().items() if ok
-    ]
-    kernel_best = {
-        name: {"compile": float("inf"), "decide": float("inf"),
-               "total": float("inf"), "stats": None, "verdicts": None}
-        for name in kernel_backends
-    }
-    # Each metric keeps its own best-of-rounds (the compile gate must
-    # compare the two backends' best *compile* rounds, not the compile
-    # time that happened to accompany the best total), and the kernel
-    # section gets extra rounds: the compile gate rides on it, and a
-    # throttled runner needs more chances at one quiet round per backend.
+    # -- cold compile, then decide, on a fresh engine ----------------------
+    # Each metric keeps its own best-of-rounds (the compile gate compares
+    # the best *compile* round, not the compile time that happened to
+    # accompany the best total), and this section gets extra rounds: the
+    # compile gate rides on it, and a throttled runner needs more chances
+    # at one quiet round.
+    cold_best = {"compile": float("inf"), "decide": float("inf"),
+                 "total": float("inf"), "verdicts": None}
     for _ in range(max(rounds, 5)):
-        for backend in kernel_backends:
-            _cold()
-            _kernels.reset_kernel_stats()
-            with NKAEngine(f"bench-kernel-{backend}", kernel=backend) as candidate:
-                started = time.perf_counter()
-                for left, right in batch:
-                    candidate.compile(left)
-                    candidate.compile(right)
-                compile_seconds = time.perf_counter() - started
-                started = time.perf_counter()
-                candidate_verdicts = candidate.equal_many(batch)
-                decide_seconds = time.perf_counter() - started
-                stats = candidate.stats()
-            best = kernel_best[backend]
-            best["compile"] = min(best["compile"], compile_seconds)
-            best["decide"] = min(best["decide"], decide_seconds)
-            if compile_seconds + decide_seconds < best["total"]:
-                best.update(
-                    total=compile_seconds + decide_seconds,
-                    stats=stats, verdicts=candidate_verdicts,
-                )
-    for backend, best in kernel_best.items():
-        results["configs"][f"kernel_{backend}_cold"] = {
-            "compile_seconds": round(best["compile"], 4),
-            "decide_seconds": round(best["decide"], 4),
-            "total_seconds": round(best["total"], 4),
-            "kernel": best["stats"]["kernel"],
-        }
-        verdicts_by_config[f"kernel_{backend}"] = best["verdicts"]
-    results["configs"]["kernel_python_cold"]["compile_gate_seconds"] = (
-        EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS
-    )
-    if "python" in kernel_best and "numpy" in kernel_best:
-        results["configs"]["kernel_numpy_cold"]["compile_speedup_vs_python"] = (
-            round(kernel_best["python"]["compile"] / kernel_best["numpy"]["compile"], 2)
-        )
-        results["configs"]["kernel_numpy_cold"]["total_speedup_vs_python"] = (
-            round(kernel_best["python"]["total"] / kernel_best["numpy"]["total"], 2)
-        )
+        _cold()
+        with NKAEngine("bench-cold") as candidate:
+            started = time.perf_counter()
+            for left, right in batch:
+                candidate.compile(left)
+                candidate.compile(right)
+            compile_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            candidate_verdicts = candidate.equal_many(batch)
+            decide_seconds = time.perf_counter() - started
+        cold_best["compile"] = min(cold_best["compile"], compile_seconds)
+        cold_best["decide"] = min(cold_best["decide"], decide_seconds)
+        if compile_seconds + decide_seconds < cold_best["total"]:
+            cold_best["total"] = compile_seconds + decide_seconds
+            cold_best["verdicts"] = candidate_verdicts
+    results["configs"]["cold"] = {
+        "compile_seconds": round(cold_best["compile"], 4),
+        "decide_seconds": round(cold_best["decide"], 4),
+        "total_seconds": round(cold_best["total"], 4),
+        "compile_gate_seconds": EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS,
+    }
+    verdicts_by_config["cold"] = cold_best["verdicts"]
 
     # -- persistent pool vs fresh fork: the PR 5 tentpole lever ------------
     # Same engine, two different *distinct* batches: the first starts and
@@ -458,7 +429,7 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
     # *cold* one faces an empty store (compiles + publishes everything),
     # the *served* one runs right after against the populated store and
     # must compile nothing — its automata all deserialize off disk.  Both
-    # are timed on the same compile-loop + equal_many shape as the kernel
+    # are timed on the same compile-loop + equal_many shape as the cold
     # section, best-of-rounds per metric, store wiped before each cold
     # round so a round never rides the previous round's publishes.
     import shutil
@@ -649,10 +620,10 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
         )
         # The compile gate: the pure-python position automaton compiles
         # the batch no slower than the numpy ε-closure pipeline did.
-        python_compile = results["configs"]["kernel_python_cold"]["compile_seconds"]
-        assert python_compile <= EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS, (
+        cold_compile = results["configs"]["cold"]["compile_seconds"]
+        assert cold_compile <= EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS, (
             "python cold compile exceeded the ε-closure numpy baseline: "
-            f"{python_compile:.4f}s vs {EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS}s"
+            f"{cold_compile:.4f}s vs {EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS}s"
         )
         # The compile store's headline gate: an engine served entirely out
         # of a fleet-populated store compiles nothing and spends at most

@@ -167,11 +167,7 @@ def tzeng_equivalent(left: WFA, right: WFA) -> EquivalenceResult:
     # stays on the python table walk.  A dense int64 matvec (and a COO
     # ``bincount`` variant) were both measured *slower* at every realistic
     # shape — the joint dimension after reachable-projection has median 4
-    # on the engine benchmark.  The vectorized wins in this procedure are
-    # the basis reduction (:class:`repro.linalg.RowSpace`, int64
-    # fraction-free fast path) and the reachability projection in
-    # :class:`_TzengSide` — both routed through :mod:`repro.linalg.kernels`
-    # when the numpy backend is active.
+    # on the engine benchmark (``src/repro/linalg/README.md``).
     basis = RowSpace(dim)
     queue: List[Tuple[IntVector, Tuple[str, ...]]] = []
     if basis.insert(start):

@@ -10,7 +10,7 @@ States are plain integers ``0..n-1``; alphabets are frozensets of strings
 (one string per letter, matching NKA symbol names).
 
 Reachability here is the Boolean-semiring instance of the shared sparse
-kernel (:mod:`repro.linalg`): each letter's transition relation is a
+linear algebra (:mod:`repro.linalg`): each letter's transition relation is a
 ``BOOL`` :class:`~repro.linalg.SparseMatrix`, stepping a state set is a
 sparse vector–matrix product, and emptiness is ``initial · A*`` for the
 union adjacency — the same algorithms the ``N̄``-weighted pipeline runs,
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.linalg import BOOL, SparseMatrix, kernels, reachable
+from repro.linalg import BOOL, SparseMatrix, reachable
 
 __all__ = ["NFA", "DFA", "determinize", "dfa_equivalent"]
 
@@ -51,9 +51,6 @@ class NFA:
     def add_transition(self, source: int, letter: str, target: int) -> None:
         self.transitions.setdefault((source, letter), set()).add(target)
         self._letter_matrices.pop(letter, None)
-        masks = getattr(self, "_successor_masks", None)
-        if masks is not None:  # bitset cache of the vectorized backend
-            masks.pop(letter, None)
 
     def letter_matrix(self, letter: str) -> SparseMatrix:
         """The letter's transition relation as a Boolean sparse matrix.
@@ -72,9 +69,6 @@ class NFA:
         return cached
 
     def successors(self, states: Iterable[int], letter: str) -> FrozenSet[int]:
-        fast = kernels.try_nfa_successors(self, letter, states)
-        if fast is not None:
-            return fast
         rows = self.letter_matrix(letter).rows
         result: Set[int] = set()
         for state in states:

@@ -66,7 +66,6 @@ from repro.engine.verdicts import (
     VerdictLedger,
     inferred_refuted_reason,
 )
-from repro.linalg import kernels
 from repro.util.cache import CacheRegistry, LRUCache, process_registry
 
 __all__ = ["NKAEngine", "default_engine"]
@@ -95,14 +94,6 @@ class NKAEngine:
         start_method: multiprocessing start method for the pool (``fork``/
             ``spawn``/``forkserver``); default prefers ``fork``, overridable
             process-wide via ``REPRO_ENGINE_START_METHOD``.
-        kernel: linalg kernel backend for this session's compilations and
-            decisions (``"python"`` | ``"numpy"``, see
-            :mod:`repro.linalg.kernels`).  ``None`` (default) follows the
-            process-wide setting (``REPRO_KERNEL``); an explicit choice is
-            scoped around this engine's work and propagated to its pool
-            workers, and validated at construction.  Verdicts are
-            byte-identical across backends — the numpy kernels either
-            return the oracle's exact answer or decline to it.
         warm_state: a :class:`~repro.engine.persist.WarmState`, or a path to
             one, to preload the caches from.  Stale state (pipeline
             fingerprint mismatch) raises
@@ -151,7 +142,6 @@ class NKAEngine:
         result_capacity: int = 8192,
         workers: int = 1,
         start_method: Optional[str] = None,
-        kernel: Optional[str] = None,
         warm_state: Union[None, str, WarmState] = None,
         strict_warm_state: bool = True,
         store: Union[None, bool, str, CompileStore] = None,
@@ -176,9 +166,6 @@ class NKAEngine:
             process_registry().register(self._results)
         self.workers = max(1, int(workers))
         self._start_method = start_method
-        self._kernel = (
-            None if kernel is None else kernels.validate_backend(kernel)
-        )
         # The store module is imported only when a store is actually
         # configured: `python -m repro.engine.store` (the ops CLI) imports
         # this package — through the default engine built at `import repro`
@@ -271,8 +258,7 @@ class NKAEngine:
         served = self._store_lookup(expr)
         if served is not None:
             return served
-        with kernels.use_backend(self._kernel):
-            wfa = expr_to_wfa(expr)
+        wfa = expr_to_wfa(expr)
         with self._lock:
             self._compilations += 1
             self._wfa.put(expr, wfa)
@@ -336,8 +322,7 @@ class NKAEngine:
         if served is not None:
             self._record_verdict(left, right, served, direct=False)
             return served
-        with kernels.use_backend(self._kernel):
-            result = wfa_equivalent(self.compile(left), self.compile(right))
+        result = wfa_equivalent(self.compile(left), self.compile(right))
         self._record_verdict(left, right, result)
         return result
 
@@ -437,9 +422,8 @@ class NKAEngine:
                 self._results.put((left, right), result)
                 self._results.put((right, left), result)
             return result
-        with kernels.use_backend(self._kernel):
-            left_weight = self.compile(left).weight(witness)
-            right_weight = self.compile(right).weight(witness)
+        left_weight = self.compile(left).weight(witness)
+        right_weight = self.compile(right).weight(witness)
         if left_weight == right_weight:
             return None  # corrupted ledger state: decide directly instead
         result = EquivalenceResult(
@@ -593,7 +577,7 @@ class NKAEngine:
             )
         plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
         plan_seconds = time.perf_counter() - plan_started
-        with self._exec_lock, kernels.use_backend(self._kernel):
+        with self._exec_lock:
             verdicts, report, warmback = execute_tasks(
                 plan,
                 effective_workers,
@@ -702,8 +686,7 @@ class NKAEngine:
         if served is not None:
             self._record_verdict(left, right, served, direct=False)
             return served
-        with kernels.use_backend(self._kernel):
-            result = wfa_equivalent(self.compile(left), self.compile(right))
+        result = wfa_equivalent(self.compile(left), self.compile(right))
         self._record_verdict(left, right, result)
         return result
 
@@ -734,11 +717,9 @@ class NKAEngine:
         """
         current_fingerprint = pipeline_fingerprint()
         with self._lock:
-            if self._pool is not None and (
-                self._pool.fingerprint != current_fingerprint
-                # A reconfigured kernel invalidates the pool the same way:
-                # its workers pinned the old backend at start-up.
-                or self._pool.kernel != self._kernel
+            if (
+                self._pool is not None
+                and self._pool.fingerprint != current_fingerprint
             ):
                 stale, self._pool = self._pool, None
                 self._pool_recycles += 1
@@ -759,7 +740,6 @@ class NKAEngine:
                 # Workers bound their compile memos the same way the
                 # parent bounds its WFA cache.
                 memo_capacity=self._wfa.maxsize,
-                kernel=self._kernel,
                 # Workers reopen the engine's store read-only: a cold
                 # worker on a second host starts warm from the fleet's
                 # published compilations.
@@ -896,15 +876,10 @@ class NKAEngine:
         wfa_capacity: Optional[int] = None,
         result_capacity: Optional[int] = None,
         workers: Optional[int] = None,
-        kernel=_UNSET,
         infer_verdicts=_UNSET,
     ) -> None:
         """Resize caches (shrinking evicts LRU entries) / set default workers.
 
-        ``kernel`` rebinds the session's linalg backend (``None`` returns
-        to the process-wide setting); the next parallel batch recycles the
-        worker pool so workers re-pin the new backend.  Cached automata
-        and verdicts stay valid — every backend produces identical bytes.
         ``infer_verdicts`` toggles the ledger's transitive-inference tier
         mid-session; verdicts recorded while it was off are already in the
         ledger, so switching it on takes effect retroactively.
@@ -916,10 +891,6 @@ class NKAEngine:
                 self._results.resize(result_capacity)
             if workers is not None:
                 self.workers = max(1, int(workers))
-            if kernel is not _UNSET:
-                self._kernel = (
-                    None if kernel is None else kernels.validate_backend(kernel)
-                )
             if infer_verdicts is not _UNSET:
                 self._infer_verdicts = bool(infer_verdicts)
 
@@ -957,13 +928,6 @@ class NKAEngine:
                 "compilations": self._compilations,
                 "decisions": self._decisions,
                 "batches": self._batches,
-                "kernel": {
-                    # The session's configured override (None = follow the
-                    # process default) next to the process-wide counters —
-                    # pool workers keep their own process-local counters.
-                    "configured": self._kernel,
-                    **kernels.kernel_stats(),
-                },
                 "store": None
                 if self._store is None
                 else {

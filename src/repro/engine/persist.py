@@ -17,7 +17,7 @@ hash-consing contract of :mod:`repro.core.expr` — and sparse matrices
 re-attach their canonical semiring instances by name).  Every state embeds a
 **pipeline fingerprint**: a hash over the source of each module whose
 behaviour the cached artefacts depend on (expression interning, the
-position-automaton construction, Tzeng, the sparse kernels) plus a
+position-automaton construction, Tzeng, the sparse linear algebra) plus a
 format version.  Loading checks the fingerprint first and rejects stale
 state with :class:`StaleWarmStateError` — a WFA compiled by an older
 pipeline must never masquerade as a fresh one, and a clean typed error lets
@@ -103,8 +103,6 @@ _FINGERPRINT_MODULES = (
     "repro.linalg.semiring",
     "repro.linalg.sparse",
     "repro.linalg.rowspace",
-    "repro.linalg.kernels",
-    "repro.linalg.kernels.numpy_backend",
     "repro.automata.nfa",
     "repro.automata.wfa",
     "repro.automata.equivalence",
@@ -125,7 +123,7 @@ def pipeline_fingerprint() -> str:
     compiled automaton or a verdict — so reordering or rechunking logic
     must not invalidate every persisted artefact in the fleet.  Only
     modules whose source determines artefact *meaning* (interning, the
-    position-automaton construction, Tzeng, the semiring kernels)
+    position-automaton construction, Tzeng, the semiring linear algebra)
     participate; ``tests/test_compile_store.py`` pins the exact list.
 
     Raises :class:`WarmStateError` when any fingerprint module has no

@@ -163,9 +163,7 @@ class _StoreMemo:
         return key in self.memo
 
 
-def _worker_main(
-    worker_id, conn, fingerprint, memo_capacity, kernel=None, store_spec=None
-):
+def _worker_main(worker_id, conn, fingerprint, memo_capacity, store_spec=None):
     """Worker loop: receive chunks on a private pipe, decide, ship back.
 
     Module-level so it survives ``spawn`` pickling.  The compile memo
@@ -181,17 +179,8 @@ def _worker_main(
     # same pipeline before trusting any of its results.
     from repro.engine.executor import decide_pure
     from repro.engine.persist import expr_digest, pipeline_fingerprint
-    from repro.linalg import kernels as _kernels
     from repro.util.cache import LRUCache
 
-    if kernel is not None:
-        try:
-            _kernels.set_backend(kernel)
-        except Exception:
-            # The backend is unavailable in this child (e.g. numpy import
-            # broke under spawn).  The pure-python oracle produces the
-            # same bytes, so running degraded is sound — only slower.
-            pass
     local_fingerprint = pipeline_fingerprint()
     memo = LRUCache("pool-worker.memo", maxsize=memo_capacity, register=False)
     store = None
@@ -330,16 +319,11 @@ class WorkerPool:
         fingerprint: str,
         start_method: Optional[str] = None,
         memo_capacity: int = 4096,
-        kernel: Optional[str] = None,
         store_spec: Optional[Dict[str, object]] = None,
     ):
         self.size = max(1, int(size))
         self.fingerprint = fingerprint
         self.memo_capacity = max(1, int(memo_capacity))
-        # Kernel backend workers pin at start-up (None = each worker's own
-        # REPRO_KERNEL default).  The owning engine recycles the pool when
-        # its configured kernel changes, exactly like a fingerprint change.
-        self.kernel = kernel
         # Shipped (not the handle — a spec pickles under spawn) so every
         # worker reopens the engine's CompileStore read-only and starts
         # warm from the fleet's published compilations.
@@ -373,7 +357,6 @@ class WorkerPool:
                 child_conn,
                 self.fingerprint,
                 self.memo_capacity,
-                self.kernel,
                 self.store_spec,
             ),
             name=f"nka-pool-{worker_id}",
@@ -625,7 +608,6 @@ class WorkerPool:
             "restarts": self.restarts,
             "fingerprint_rejects": self.fingerprint_rejects,
             "memo_capacity": self.memo_capacity,
-            "kernel": self.kernel,
             "store": self.store_spec["root"] if self.store_spec else None,
             "closed": self.closed,
             "fingerprint": self.fingerprint[:12],

@@ -34,25 +34,21 @@ Following the weighted-KAT line of work (Gomes–Madeira–Barbosa), nothing
 in the kernels assumes ``N̄``: plugging in a new weight domain (tropical
 costs, probabilities, …) means writing one ``SemiringSpec``.
 
-Backend choice
---------------
+Representations
+---------------
 
 * :class:`repro.linalg.sparse.SparseMatrix` — dict-of-rows (CSR-style)
   storage holding only non-zeros, with sparse vector–matrix kernels and
-  Boolean reachability.  This is the production representation.
+  Boolean reachability.
 * :class:`repro.linalg.rowspace.RowSpace` — exact incremental row spaces
   for Tzeng's algorithm, with a fraction-free integer fast path (the
   vectors start as small naturals) falling back to ``Fraction`` echelon
   only when a non-integral vector appears.
 
-The pure-python kernels above are the *oracle*: total, exact over
-unbounded integers and ``∞``.  :mod:`repro.linalg.kernels` adds an opt-in
-**vectorized** backend (``REPRO_KERNEL=numpy`` or ``NKAEngine(kernel=
-"numpy")``) with numpy fast paths for reachability bitsets, NFA subset
-steps and int64 RowSpace elimination.  Every vectorized kernel either
-returns the oracle's exact bytes or declines back to the python code, so
-exactness (what makes the procedure a *decision* procedure) is never
-traded for speed; see ``src/repro/linalg/README.md``.
+Both are pure python and exact over unbounded integers and ``∞``: this
+is the only implementation, so exactness (what makes the procedure a
+*decision* procedure) is never traded for speed.  A numpy backend was
+tried and removed; see ``src/repro/linalg/README.md``.
 
 Everything validates shapes eagerly and raises
 :class:`repro.util.errors.DecisionError` carrying the offending shapes —
@@ -60,7 +56,6 @@ dimension bugs surface at the call boundary, not as ``IndexError`` three
 stack frames deep.
 """
 
-from repro.linalg import kernels
 from repro.linalg.rowspace import (
     RowSpace,
     Vector,
@@ -89,7 +84,6 @@ from repro.linalg.sparse import (
 )
 
 __all__ = [
-    "kernels",
     "SemiringSpec",
     "EXT_NAT",
     "BOOL",

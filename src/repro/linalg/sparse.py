@@ -1,11 +1,11 @@
-"""Semiring-generic sparse matrices (dict-of-rows) and vector kernels.
+"""Semiring-generic sparse matrices (dict-of-rows) and vector operations.
 
 :class:`SparseMatrix` stores only non-zero entries, as ``rows[i][j] =
 value`` — a CSR-flavoured layout chosen because every hot consumer in the
 decision pipeline walks whole rows: letter-matrix assembly in
 :func:`repro.automata.wfa.expr_to_wfa`, left-vector propagation in Tzeng's
 algorithm, and Boolean reachability.  The module holds no matrix product
-or star: the position automaton needs neither, and the vector kernels
+or star: the position automaton needs neither, and the vector operations
 below cost ``O(nnz)`` of the rows they touch.
 
 All shape violations raise :class:`repro.util.errors.DecisionError` with
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from repro.linalg import kernels
 from repro.linalg.semiring import SemiringSpec
 from repro.util.errors import DecisionError
 
@@ -135,7 +134,7 @@ class SparseMatrix:
 
         Explicitly-stored zeros (possible when callers write ``rows``
         directly) are skipped, so every consumer sees the same support no
-        matter which kernel backend produced the matrix.
+        matter how the matrix was built.
         """
         is_zero = self.semiring.is_zero
         for i, row in self.rows.items():
@@ -172,9 +171,9 @@ class SparseMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        # Compare zero-pruned supports: a matrix that came off a different
-        # kernel backend (or had zeros written into ``rows`` directly) must
-        # compare equal iff it denotes the same map, not the same storage.
+        # Compare zero-pruned supports: a matrix with zeros written into
+        # ``rows`` directly must compare equal iff it denotes the same map,
+        # not the same storage.
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
@@ -190,7 +189,7 @@ class SparseMatrix:
         )
 
 
-# -- vector kernels ----------------------------------------------------------
+# -- vector operations -------------------------------------------------------
 
 
 def vec_mat(vec: SparseVec, matrix: SparseMatrix) -> SparseVec:
@@ -260,10 +259,6 @@ def reachable(adjacency: SparseMatrix, seeds: Iterable[int]) -> Set[int]:
     kernel the weighted pipeline uses, shared by WFA trimming and DFA
     emptiness.
     """
-    seeds = list(seeds)
-    fast = kernels.try_reachable(adjacency, seeds)
-    if fast is not None:
-        return fast
     seen: Set[int] = set(seeds)
     frontier = list(seen)
     rows = adjacency.rows

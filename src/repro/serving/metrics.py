@@ -89,7 +89,7 @@ class TenantMetrics:
 
     ``submitted`` counts every request that reached admission; it splits
     into ``completed`` (future resolved with a verdict), ``rejected``
-    (quota — the 429 path), and ``failed`` (batch execution raised).
+    (quota — the 429 path), and ``failed`` (its own execution raised).
     ``batches`` counts executed coalesced batches; ``completed / batches``
     is the coalesce ratio — 1.0 means the coalescer never merged anything,
     higher means that many requests rode each engine batch on average.

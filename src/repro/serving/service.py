@@ -122,7 +122,6 @@ class TenantConfig:
     workers: int = 1
     wfa_capacity: int = 4096
     result_capacity: int = 8192
-    kernel: Optional[str] = None
     store: Union[None, bool, str, Any] = False
     infer_verdicts: Optional[bool] = None
     start_method: Optional[str] = None
@@ -135,7 +134,6 @@ class TenantConfig:
             result_capacity=self.result_capacity,
             workers=self.workers,
             start_method=self.start_method,
-            kernel=self.kernel,
             warm_state=self.warm_state,
             # Serving survives a stale warm snapshot by starting cold; a
             # hard failure at tenant-boot time helps nobody at 3am.
@@ -352,13 +350,10 @@ class NKAService:
                 results = await loop.run_in_executor(
                     self._executor, self._execute_batch, tenant, pairs
                 )
-            except Exception as error:  # engine bug / executor torn down
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(
-                            ServingError(f"batch execution failed: {error!r}")
-                        )
-                tenant.metrics.note_failed(len(batch))
+            except Exception:
+                # One bad pair must not fail its neighbours: re-run each
+                # request alone so only the failing ones see an error.
+                await self._resolve_one_by_one(tenant, batch)
             else:
                 finished = time.monotonic()
                 for request, result in zip(batch, results):
@@ -380,6 +375,31 @@ class NKAService:
             tenant.depth -= 1
             if not item.future.done():
                 item.future.set_exception(ServiceClosed("service closed"))
+
+    async def _resolve_one_by_one(
+        self, tenant: _Tenant, batch: List[PendingRequest]
+    ) -> None:
+        """Resolve each request of a failed batch from its own one-pair run."""
+        loop = asyncio.get_running_loop()
+        completed = 0
+        for request in batch:
+            try:
+                (result,) = await loop.run_in_executor(
+                    self._executor, self._execute_batch, tenant, [request.pair]
+                )
+            except Exception as error:  # engine bug / executor torn down
+                if not request.future.done():
+                    request.future.set_exception(
+                        ServingError(f"request execution failed: {error!r}")
+                    )
+                tenant.metrics.note_failed(1)
+            else:
+                if not request.future.done():
+                    request.future.set_result(result)
+                tenant.latency.record(time.monotonic() - request.enqueued_at)
+                completed += 1
+        if completed:
+            tenant.metrics.note_batch(completed)
 
     def _execute_batch(
         self, tenant: _Tenant, pairs: List[Tuple[Expr, Expr]]

@@ -67,6 +67,16 @@ class TestNFADFA:
         )
         assert everything.complement().is_empty()
 
+    def test_add_transition_invalidates_letter_matrix(self):
+        nfa = _nfa_for_a_star_b()
+        assert nfa.successors({0}, "a") == {0}  # builds the cached matrix
+        assert nfa.successors({0}, "b") == {1}
+        nfa.add_transition(0, "a", 1)
+        assert nfa.successors({0}, "a") == {0, 1}
+        assert nfa.letter_matrix("a").rows == {0: {0: True, 1: True}}
+        assert nfa.successors({0}, "b") == {1}  # other letters untouched
+        assert nfa.accepts(["a"])
+
 
 class TestExprToWFA:
     def test_weights_match_semantics(self):

@@ -389,8 +389,6 @@ class TestFingerprintDiscipline:
             "repro.linalg.semiring",
             "repro.linalg.sparse",
             "repro.linalg.rowspace",
-            "repro.linalg.kernels",
-            "repro.linalg.kernels.numpy_backend",
             "repro.automata.nfa",
             "repro.automata.wfa",
             "repro.automata.equivalence",

@@ -127,6 +127,8 @@ class TestLeqRefutation:
 
 _LETTERS = ["a", "b"]
 _CORE = "(a + b)* a (a + b) (a + b) (a + b)"
+# 80 positions: the widest automata among the oracle checks.
+_WIDE = " ".join(["(a + b)*"] * 40)
 
 
 def _expr_strategy(depth: int = 3) -> st.SearchStrategy[Expr]:
@@ -165,12 +167,23 @@ class TestAgainstDirectSeries:
 
     # The ∞-heavy decide path: a support DFA with 2^(k+1) states, then the
     # finite parts restricted to its complement (the nkabench
-    # determinization family at k = 3).
+    # determinization family at k = 3); then wide 80-position automata
+    # and small 1*-heavy pairs.
     @pytest.mark.parametrize(
         "left,right,witness",
         [
             (f"1* ({_CORE})", _CORE, ("a", "a", "a", "a")),
             (f"1* ({_CORE})", f"1* 1* ({_CORE})", None),
+            pytest.param(
+                _WIDE, " ".join(["(b + a)*"] * 40), None, id="wide-commuted"
+            ),
+            pytest.param(_WIDE, f"({_WIDE}) a", (), id="wide-vs-wide-a"),
+            pytest.param(
+                f"(({_WIDE}) + (a b)*)*", f"({_WIDE})*", None, id="wide-star"
+            ),
+            ("1*", "(1*)*", None),
+            ("(1 + a)*", "a*", ()),
+            ("1* a", "a 1*", None),
         ],
     )
     def test_determinization_family_against_series(self, left, right, witness):

@@ -2,19 +2,15 @@
 
 Kappé–Silva–Wagemaker's survey point, operationalised: a decision-procedure
 implementation is only trustworthy if every execution strategy conforms to
-the same algebraic semantics.  While PR 5 rebuilt the executor around a
-persistent worker pool, this suite pins the conformance surface: a seeded
-203-pair corpus is decided by
+the same algebraic semantics.  This suite pins the conformance surface: a
+seeded 203-pair corpus is decided by
 
 (a) the **pooled parallel** engine (persistent workers, warm-back channel,
     steal-aware chunks),
-(b) the **sequential** engine (the planner's in-process path), and
+(b) the **sequential** engine (the planner's in-process path),
 (c) a **fresh no-cache** oracle (caches wiped before every single pair, so
     no state whatsoever carries between queries), and
-(d) the **vectorized-kernel** engine (``kernel="numpy"``, when numpy is
-    importable) — the fast paths of :mod:`repro.linalg.kernels` routed
-    through the same planner and sequential executor, and
-(e) a **store-served** engine (``store=``) answering entirely out of a
+(d) a **store-served** engine (``store=``) answering entirely out of a
     :class:`~repro.engine.store.CompileStore` another engine populated —
     zero parent compilations, every automaton deserialized from disk,
 
@@ -55,9 +51,8 @@ CORPUS_SIZE = 203
 
 
 def _wide_pairs():
-    """Three 80-position pairs: the seeded slices' position automata stay
-    below every vectorization threshold, these route through the numpy
-    reachability, subset-step and RowSpace kernels."""
+    """Three 80-position pairs: the seeded slices' position automata are
+    small, these give every configuration wide automata to agree on."""
     a, b = Symbol("a"), Symbol("b")
     wide = product_of([Star(Sum(a, b))] * 40)
     return [
@@ -120,27 +115,8 @@ def nocache_verdicts(corpus):
 
 
 @pytest.fixture(scope="module")
-def numpy_kernel_verdicts(corpus):
-    """(d) The vectorized backend: exact fast paths or recorded declines."""
-    from repro.linalg import kernels
-
-    if not kernels.available_backends()["numpy"]:
-        pytest.skip("numpy not importable")
-    kernels.reset_kernel_stats()
-    with NKAEngine("diff-numpy", kernel="numpy") as engine:
-        verdicts = engine.equal_many_detailed(corpus, workers=1)
-        stats = engine.stats()["kernel"]
-    assert stats["configured"] == "numpy"
-    # The corpus must actually have exercised a vectorized path — a suite
-    # that silently ran the oracle everywhere would prove nothing.
-    vectorized = sum(op["vectorized"] for op in stats["ops"].values())
-    assert vectorized > 0, f"no vectorized kernel engaged: {stats['ops']}"
-    return verdicts
-
-
-@pytest.fixture(scope="module")
 def store_served_verdicts(corpus, tmp_path_factory):
-    """(e) The shared compile store: a publisher engine fills a store, a
+    """(d) The shared compile store: a publisher engine fills a store, a
     *fresh* engine answers the whole corpus from it with zero parent
     compilations — the fleet-warm path of :mod:`repro.engine.store`."""
     root = str(tmp_path_factory.mktemp("diff-store"))
@@ -208,7 +184,7 @@ def chain():
 
 
 def test_inferred_verdicts_byte_identical_modulo_reason(corpus, chain):
-    """(f) The inference tier: ``infer_verdicts=True`` over the corpus plus
+    """(e) The inference tier: ``infer_verdicts=True`` over the corpus plus
     seeded transitive chains.  The seeding batch decides corpus + adjacent
     chain pairs; the closure batch is then answered *entirely* by the
     union–find — zero decisions, zero compilations — and every verdict
@@ -285,18 +261,6 @@ def test_sequential_equals_nocache_bytewise(sequential_verdicts, nocache_verdict
     ):
         assert pickle.dumps(sequential) == pickle.dumps(oracle), (
             f"pair #{index}: sequential {sequential} != no-cache oracle {oracle}"
-        )
-
-
-def test_numpy_kernel_equals_sequential_bytewise(
-    numpy_kernel_verdicts, sequential_verdicts
-):
-    """Vectorized kernels must be invisible in the answers — exact bytes."""
-    for index, (fast, sequential) in enumerate(
-        zip(numpy_kernel_verdicts, sequential_verdicts)
-    ):
-        assert pickle.dumps(fast) == pickle.dumps(sequential), (
-            f"pair #{index}: numpy-kernel {fast} != sequential {sequential}"
         )
 
 

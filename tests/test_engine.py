@@ -491,3 +491,38 @@ class TestWordStream:
         witness = engine.leq_refute(left, right, max_length=12)
         assert witness == ("a",) * 12
         assert engine.leq_refute(left, right, max_length=11) is None
+
+
+class TestThreadSafety:
+    def test_engine_stats_concurrent_with_decisions(self):
+        """``stats()`` polled from one thread while another runs
+        ``equal_detailed`` must never raise (serving polls it that way)."""
+        import threading
+
+        engine = NKAEngine("stats-hammer")
+        pairs = random_pairs(seed=77, count=30, depth=3, equal_fraction=0.2)
+        errors = []
+        done = threading.Event()
+
+        def poll_stats():
+            while not done.is_set():
+                try:
+                    engine.stats()
+                except Exception as error:
+                    errors.append(error)
+                    return
+
+        def decide():
+            try:
+                for left, right in pairs:
+                    engine.equal_detailed(left, right)
+            finally:
+                done.set()
+
+        poller = threading.Thread(target=poll_stats)
+        decider = threading.Thread(target=decide)
+        poller.start()
+        decider.start()
+        decider.join(60)
+        poller.join(60)
+        assert not errors, f"stats() raced equal_detailed: {errors[0]}"

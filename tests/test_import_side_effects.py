@@ -88,3 +88,40 @@ def test_import_repro_does_no_stray_disk_io():
         and not os.path.realpath(path).startswith(roots)
     ]
     assert not strays, f"import repro read outside code locations: {strays}"
+
+
+_DECIDE_PROBE = r"""
+import sys
+
+import repro
+from repro.core.parser import parse
+from repro.engine import NKAEngine
+
+engine = NKAEngine(store=False)
+pairs = [
+    ("(a b)* a", "a (b a)*"),
+    ("a + a", "a"),
+    ("1* a", "a 1*"),
+    ("(1 + a)*", "a*"),
+    ("1* ((a + b)* a (a + b) (a + b))", "(a + b)* a (a + b) (a + b)"),
+]
+verdicts = [engine.equal(parse(left), parse(right)) for left, right in pairs]
+assert verdicts == [True, False, True, False, False], verdicts
+print("numpy" in sys.modules)
+"""
+
+
+def test_deciding_never_imports_numpy():
+    """The decision pipeline is pure python: compiling and deciding, ∞-heavy
+    pairs included, must not pull numpy into the process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _DECIDE_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=180,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False"

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.automata.linalg import RowSpace as CompatRowSpace
 from repro.automata.wfa import expr_to_wfa
 from repro.core.decision import clear_caches, nka_equal_many_detailed
 from repro.core.semiring import ExtNat, ONE, ZERO
@@ -28,6 +27,29 @@ from repro.linalg import (
 )
 from repro.util.errors import DecisionError
 from tests.gen import random_exprs, random_int_entries, short_words
+
+
+def _fraction_rank(rows, dim):
+    """Rank by from-scratch ``Fraction`` Gaussian elimination."""
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(dim):
+        pivot_row = next(
+            (r for r in range(rank, len(matrix)) if matrix[r][col] != 0),
+            None,
+        )
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        lead = matrix[rank][col]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != 0:
+                factor = matrix[r][col] / lead
+                matrix[r] = [
+                    a - factor * b for a, b in zip(matrix[r], matrix[rank])
+                ]
+        rank += 1
+    return rank
 
 
 def _build_pair(entries, nrows, ncols, semiring, embed):
@@ -117,29 +139,31 @@ class TestRowSpaceFastPath:
             space = RowSpace(dim)
             for row in rows:
                 space.insert(row)
-            matrix = [[Fraction(v) for v in row] for row in rows]
-            rank = 0
-            for col in range(dim):
-                pivot_row = next(
-                    (r for r in range(rank, len(matrix)) if matrix[r][col] != 0),
-                    None,
-                )
-                if pivot_row is None:
-                    continue
-                matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-                lead = matrix[rank][col]
-                for r in range(len(matrix)):
-                    if r != rank and matrix[r][col] != 0:
-                        factor = matrix[r][col] / lead
-                        matrix[r] = [
-                            a - factor * b for a, b in zip(matrix[r], matrix[rank])
-                        ]
-                rank += 1
-            assert space.rank == rank
+            assert space.rank == _fraction_rank(rows, dim)
             assert space.integer_mode
 
-    def test_compat_facade_is_same_class(self):
-        assert CompatRowSpace is RowSpace
+    @pytest.mark.parametrize("dim", [64, 96])
+    def test_entries_beyond_int64_stay_exact(self, dim):
+        """Unbounded integers at wide dimensions: ``1 << 70`` entries and
+        the products elimination builds from them never lose precision."""
+        huge = 1 << 70
+        rows = [
+            (1,) * dim,
+            (huge,) + (1,) * (dim - 1),
+            tuple(range(1, dim + 1)),
+            tuple(huge * (i % 3) - i for i in range(dim)),
+            (0,) * (dim - 1) + (-huge,),
+        ]
+        rows += [rows[1], tuple(a + b for a, b in zip(rows[0], rows[3]))]
+        fast, slow = RowSpace(dim), RowSpace(dim)
+        slow._demote_to_fractions()
+        for row in rows:
+            assert fast.insert(row) == slow.insert(tuple(Fraction(v) for v in row))
+            assert fast.rank == slow.rank
+        assert fast.integer_mode
+        assert fast.rank == _fraction_rank(rows, dim) == 5
+        for row in rows:
+            assert fast.contains(row)
 
 
 class TestValidation:

@@ -39,6 +39,7 @@ from repro.engine.store import CompileStore
 from repro.serving import (
     NKAService,
     ServiceClosed,
+    ServingError,
     ServingHTTPServer,
     TenantConfig,
     TenantQuotaExceeded,
@@ -143,6 +144,32 @@ class TestCoalescing:
         ]
         assert tenant["batches"] == len(pairs)
         assert tenant["coalesce_ratio"] == 1.0
+
+    def test_failing_pair_does_not_fail_its_coalesced_batch(self):
+        """A pair the engine cannot decide fails alone; the request
+        coalesced with it still gets its verdict."""
+        good = (parse("a*"), parse("1 + a a*"))
+        bad = (parse(" ".join(["a"] * 3000)), parse("a"))
+
+        async def serve():
+            config = TenantConfig("t", max_batch=2, coalesce_window=5.0)
+            async with NKAService([config]) as service:
+                results = await asyncio.gather(
+                    service.equal_detailed("t", *good),
+                    service.equal_detailed("t", *bad),
+                    return_exceptions=True,
+                )
+                return results, service.stats()["tenants"]["t"]
+
+        (verdict, failure), tenant = asyncio.run(serve())
+        assert pickle.dumps(verdict) == pickle.dumps(
+            _sequential_reference([good])[0]
+        )
+        assert verdict.equal
+        assert isinstance(failure, ServingError)
+        assert "RecursionError" in str(failure)
+        assert tenant["completed"] == 1
+        assert tenant["failed"] == 1
 
     def test_collect_batch_respects_cap_and_shutdown(self):
         from repro.serving import SHUTDOWN, PendingRequest
