@@ -80,7 +80,7 @@ from repro.automata.wfa import expr_to_wfa
 from repro.core.decision import clear_caches
 from repro.core.expr import Product, Star, Sum, alphabet, product_factors, sym
 from repro.engine import NKAEngine
-from repro.linalg import RowSpace, dot, reachable
+from repro.linalg import RowSpace, reachable
 
 # ``kernel_numpy_cold.compile_seconds`` of the Thompson + ε-closure
 # pipeline, the last one with a numpy star kernel: BENCH_engine.json
@@ -129,11 +129,11 @@ def _pr3_tzeng(left, right) -> EquivalenceResult:
     bound = _pr3_reachable_count(left) + _pr3_reachable_count(right)
     basis = RowSpace(dim)
     queue = []
-    if basis.insert(start):
+    if basis.insert(dict(enumerate(start))):
         queue.append((start, ()))
     while queue:
         vector, word = queue.pop(0)
-        if dot(vector, final_functional) != 0:
+        if sum(a * b for a, b in zip(vector, final_functional)) != 0:
             return EquivalenceResult(
                 equal=False, counterexample=word,
                 reason=f"finite coefficients differ on word {' '.join(word) or 'ε'}",
@@ -146,7 +146,7 @@ def _pr3_tzeng(left, right) -> EquivalenceResult:
                 _pr3_vector_matrix(vector, 0, left, letter)
                 + _pr3_vector_matrix(vector, n_left, right, letter)
             )
-            if basis.insert(successor):
+            if basis.insert(dict(enumerate(successor))):
                 queue.append((successor, word + (letter,)))
     return EquivalenceResult(equal=True, counterexample=None, reason="Tzeng basis exhausted")
 

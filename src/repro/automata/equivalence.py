@@ -21,20 +21,19 @@ This implements the decision procedure promised by the paper's Remark 2.1
 
 Both stages are exact, so the combined procedure is a *decision* procedure,
 not a semidecision.  The Tzeng stage runs entirely in ``Z``: the automata
-reaching it carry finite natural weights, vector–matrix products preserve
-integrality, and :class:`repro.linalg.RowSpace` keeps its fraction-free
-integer fast path as long as every inserted vector is integral — which here
-is always.  Transition matrices are sparse
-(:class:`repro.linalg.SparseMatrix`), so advancing a vector by a letter
-walks only the non-zero rows of the reached states.
+reaching it carry finite natural weights and vector–matrix products
+preserve integrality, so :class:`repro.linalg.RowSpace` keeps an exact
+integer basis.  Vectors and transition tables are sparse, so advancing a
+vector by a letter walks only the non-zero rows of the reached states.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
-from repro.linalg import RowSpace, dot, reachable
+from repro.linalg import RowSpace, reachable
 from repro.automata.nfa import dfa_equivalent
 from repro.automata.wfa import (
     WFA,
@@ -65,7 +64,9 @@ class EquivalenceResult:
         return self.equal
 
 
-IntVector = Tuple[int, ...]
+SparseVector = Dict[int, int]
+# source coordinate → ((target coordinate, weight), ...)
+Table = Dict[int, Tuple[Tuple[int, int], ...]]
 
 
 def _finite_weight_to_int(weight) -> int:
@@ -79,26 +80,26 @@ class _TzengSide:
 
     Every joint vector Tzeng generates is supported on the states reachable
     from the non-zero initial support via non-zero rows, so the joint space
-    can be built directly in those coordinates: the vector *dimension*
-    shrinks from ``num_states`` to the reachable count (often far below for
-    automata with unreachable or dead regions), which cuts the cost of
-    every :class:`repro.linalg.RowSpace` reduction.
+    is built directly in those coordinates: the space's *dimension* is the
+    reachable count (often far below ``num_states`` for automata with
+    unreachable or dead regions), and it is the rank at which the walk can
+    stop advancing.  Coordinates are joint: this side's projected state
+    ``k`` is coordinate ``offset + k``.
 
-    On top of the projection, each letter carries a **reachable-state
-    mask**: a compressed sparse table holding only the (projected) source
-    states that actually have outgoing rows for that letter.  Advancing a
-    vector by a letter then walks exactly those sources — states without
-    that letter, and letters absent from the automaton altogether (common
-    when the two sides have different alphabets), cost nothing instead of
-    an ``O(num_states)`` scan.
+    Everything is sparse: the initial vector and the final functional hold
+    only non-zero entries, and each letter's table maps a source coordinate
+    to its ``((target coordinate, int weight), ...)`` entries, holding only
+    the sources that have outgoing rows for that letter.  Advancing a
+    vector by a letter then walks the vector's support against that table,
+    so no step allocates or scans ``dim`` entries.
     """
 
     __slots__ = ("dim", "initial", "final", "tables")
 
-    def __init__(self, wfa: WFA, letters: Sequence[str]):
+    def __init__(self, wfa: WFA, offset: int):
         seeds = (i for i, w in enumerate(wfa.initial) if not w.is_zero)
         kept = sorted(reachable(wfa._support_adjacency(), seeds))
-        index = {old: new for new, old in enumerate(kept)}
+        index = {old: offset + new for new, old in enumerate(kept)}
         # Strictness is preserved: every initial/final weight is checked,
         # reachable or not, exactly as the unprojected algorithm did.
         for weight in wfa.initial:
@@ -106,28 +107,31 @@ class _TzengSide:
         for weight in wfa.final:
             _finite_weight_to_int(weight)
         self.dim = len(kept)
-        self.initial = [_finite_weight_to_int(wfa.initial[old]) for old in kept]
-        self.final = [_finite_weight_to_int(wfa.final[old]) for old in kept]
-        # Per letter: tuple of (projected source, ((projected target, int
-        # weight), ...)) pairs.  A support edge from a reachable state ends
-        # in a reachable state by construction, so no target is dropped.
-        self.tables: Dict[str, Tuple] = {}
-        for letter in letters:
-            matrix = wfa.matrices.get(letter)
-            if matrix is None:
-                continue
-            table = []
+        self.initial: SparseVector = {
+            index[old]: wfa.initial[old].finite_value
+            for old in kept
+            if not wfa.initial[old].is_zero
+        }
+        self.final: SparseVector = {
+            index[old]: wfa.final[old].finite_value
+            for old in kept
+            if not wfa.final[old].is_zero
+        }
+        # A support edge from a reachable state ends in a reachable state
+        # by construction, so no target is dropped.
+        self.tables: Dict[str, Table] = {}
+        for letter, matrix in wfa.matrices.items():
+            table: Table = {}
             for old_i, row in matrix.rows.items():
                 new_i = index.get(old_i)
                 if new_i is None or not row:
                     continue
-                entries = tuple(
+                table[new_i] = tuple(
                     (index[old_j], _finite_weight_to_int(weight))
                     for old_j, weight in row.items()
                 )
-                table.append((new_i, entries))
             if table:
-                self.tables[letter] = tuple(table)
+                self.tables[letter] = table
 
 
 def tzeng_equivalent(left: WFA, right: WFA) -> EquivalenceResult:
@@ -139,42 +143,45 @@ def tzeng_equivalent(left: WFA, right: WFA) -> EquivalenceResult:
     word per independent vector, of which there are at most ``n_L + n_R`` —
     and in fact at most the number of *reachable* states of the two
     automata.  The joint space is built directly in reachable coordinates
-    (:class:`_TzengSide`), so that bound *is* the vector dimension; once the
-    basis rank hits it, no successor can be independent (and dependent
+    (:class:`_TzengSide`), so that bound *is* the space's dimension; once
+    the basis rank hits it, no successor can be independent (and dependent
     vectors inherit ``⟨·, η⟩ = 0`` from the basis), so the per-letter
-    advance loop is skipped for the rest of the queue.  Advancing walks the
-    per-letter reachable-state masks, and all-zero successors (e.g. letters
-    dead on both sides) are skipped without touching the basis — they can
-    never be independent.
+    advance loop is skipped for the rest of the queue.  All-zero successors
+    (e.g. letters dead on both sides) are skipped without touching the
+    basis — they can never be independent.
 
-    All vectors live in ``Z`` (the automata here carry finite natural
-    weights), so the basis stays on :class:`repro.linalg.RowSpace`'s
-    fraction-free integer fast path throughout.  Projection never changes
-    answers: dropped coordinates are zero in every explored vector, so
-    independence verdicts, BFS order, counterexamples and ranks are
-    identical to the unprojected run.
+    Vectors are sparse ``{coordinate: int}`` dicts end to end, and the basis
+    is :class:`repro.linalg.RowSpace`'s pivot-indexed integer echelon form,
+    so an insert touches only the basis rows its support reaches.
+    Independence answers depend on neither the projection (dropped
+    coordinates are zero in every explored vector) nor the basis' choice of
+    pivots, so BFS order, counterexamples and ranks are those of the plain
+    dense algorithm.
     """
     alphabet = sorted(left.alphabet | right.alphabet)
-    left_side = _TzengSide(left, alphabet)
-    right_side = _TzengSide(right, alphabet)
-    offset = left_side.dim
+    left_side = _TzengSide(left, 0)
+    right_side = _TzengSide(right, left_side.dim)
     dim = left_side.dim + right_side.dim
-    final_functional: IntVector = tuple(
-        left_side.final + [-value for value in right_side.final]
-    )
-    start: IntVector = tuple(left_side.initial + right_side.initial)
+    final_functional: SparseVector = dict(left_side.final)
+    for coordinate, value in right_side.final.items():
+        final_functional[coordinate] = -value
+    tables: Dict[str, Table] = {}
+    for side in (left_side, right_side):
+        for letter, table in side.tables.items():
+            tables.setdefault(letter, {}).update(table)
+    start: SparseVector = {**left_side.initial, **right_side.initial}
     # Note on vectorization: the per-letter advance ``u·M`` deliberately
     # stays on the python table walk.  A dense int64 matvec (and a COO
     # ``bincount`` variant) were both measured *slower* at every realistic
     # shape — the joint dimension after reachable-projection has median 4
     # on the engine benchmark (``src/repro/linalg/README.md``).
     basis = RowSpace(dim)
-    queue: List[Tuple[IntVector, Tuple[str, ...]]] = []
+    queue: Deque[Tuple[SparseVector, Tuple[str, ...]]] = deque()
     if basis.insert(start):
         queue.append((start, ()))
     while queue:
-        vector, word = queue.pop(0)
-        if dot(vector, final_functional) != 0:
+        vector, word = queue.popleft()
+        if sum(value * final_functional.get(c, 0) for c, value in vector.items()):
             return EquivalenceResult(
                 equal=False,
                 counterexample=word,
@@ -185,28 +192,17 @@ def tzeng_equivalent(left: WFA, right: WFA) -> EquivalenceResult:
             # zero-functional checks of the remaining queued vectors are left.
             continue
         for letter in alphabet:
-            result = [0] * dim
-            nonzero = False
-            left_table = left_side.tables.get(letter)
-            if left_table is not None:
-                for source, entries in left_table:
-                    value = vector[source]
-                    if value:
-                        nonzero = True
-                        for target, weight in entries:
-                            result[target] += value * weight
-            right_table = right_side.tables.get(letter)
-            if right_table is not None:
-                for source, entries in right_table:
-                    value = vector[offset + source]
-                    if value:
-                        nonzero = True
-                        for target, weight in entries:
-                            result[offset + target] += value * weight
-            if not nonzero:
-                continue  # the zero vector is never independent
-            successor = tuple(result)
-            if basis.insert(successor):
+            table = tables.get(letter)
+            if table is None:
+                continue
+            successor: SparseVector = {}
+            for source, value in vector.items():
+                entries = table.get(source)
+                if entries is not None:
+                    for target, weight in entries:
+                        successor[target] = successor.get(target, 0) + value * weight
+            # The zero vector is never independent.
+            if successor and basis.insert(successor):
                 queue.append((successor, word + (letter,)))
     return EquivalenceResult(equal=True, counterexample=None, reason="Tzeng basis exhausted")
 

@@ -19,8 +19,9 @@ at Boolean weights.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.linalg import BOOL, SparseMatrix, reachable
 
@@ -224,17 +225,19 @@ def dfa_equivalent(left: DFA, right: DFA) -> Tuple[bool, Optional[List[str]]]:
     over the union alphabet (letters absent from one automaton lead to that
     automaton's implicit sink).
     """
-    alphabet = left.alphabet | right.alphabet
+    letters = sorted(left.alphabet | right.alphabet)
     start = (left.initial, right.initial)
     seen: Set[Tuple[Optional[int], Optional[int]]] = {start}
-    queue: List[Tuple[Tuple[Optional[int], Optional[int]], List[str]]] = [(start, [])]
+    queue: Deque[Tuple[Tuple[Optional[int], Optional[int]], List[str]]] = deque(
+        [(start, [])]
+    )
     while queue:
-        (lstate, rstate), word = queue.pop(0)
+        (lstate, rstate), word = queue.popleft()
         laccept = lstate is not None and lstate in left.accepting
         raccept = rstate is not None and rstate in right.accepting
         if laccept != raccept:
             return False, word
-        for letter in sorted(alphabet):
+        for letter in letters:
             pair = (_total_step(left, lstate, letter), _total_step(right, rstate, letter))
             if pair not in seen:
                 seen.add(pair)

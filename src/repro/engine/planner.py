@@ -155,20 +155,33 @@ _LETTER_COUNT_CACHE = LRUCache("planner.letters", maxsize=1 << 16)
 
 
 def _letter_occurrences(expr: Expr) -> int:
-    """Number of letter occurrences in ``expr`` (memoized per interned node)."""
-    if isinstance(expr, Symbol):
-        return 1
-    children = expr.children()
-    if not children:
-        return 0
-    cached = _LETTER_COUNT_CACHE.get(expr)
-    if cached is not None:
-        return cached
-    count = 0
-    for child in children:  # a loop, not a generator: one frame per level
-        count += _letter_occurrences(child)
-    _LETTER_COUNT_CACHE.put(expr, count)
-    return count
+    """Number of letter occurrences in ``expr`` (memoized per interned node).
+
+    An iterative post-order walk, so a product or nest of any depth is
+    counted without recursion.
+    """
+    counts: Dict[Expr, int] = {}
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        if node in counts:
+            stack.pop()
+            continue
+        if isinstance(node, Symbol):
+            count = 1
+        else:
+            children = node.children()
+            count = _LETTER_COUNT_CACHE.get(node) if children else 0
+            if count is None:
+                pending = [child for child in children if child not in counts]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                count = sum(counts[child] for child in children)
+                _LETTER_COUNT_CACHE.put(node, count)
+        counts[node] = count
+        stack.pop()
+    return counts[expr]
 
 
 def _default_cost_estimate(expr: Expr) -> int:

@@ -15,17 +15,15 @@ The semiring protocol
 ---------------------
 
 All kernels are generic over :class:`repro.linalg.semiring.SemiringSpec`,
-a record of ``(zero, one, add, mul, is_zero, star)``.  Three instances
-cover the whole pipeline, which is the point — weighted, rational and
-Boolean reasoning are the *same algorithms* at different weights:
+a record of ``(zero, one, add, mul, is_zero)``.  Two instances cover the
+whole pipeline, which is the point — weighted and Boolean reasoning are
+the *same algorithms* at different weights:
 
 ===============  =====================================  =========================
 instance         coefficients                           used by
 ===============  =====================================  =========================
 ``EXT_NAT``      ``N̄`` (:class:`~repro.core.semiring.   series weights
                  ExtNat`), complete star semiring       (``automata.wfa``)
-``FRACTION``     ``Q`` (:class:`fractions.Fraction`),   Tzeng equivalence
-                 star partial (undefined at 1)          (``automata.equivalence``)
 ``BOOL``         ``{0,1}``, star ≡ 1                    reachability / trimming
                                                         (``automata.nfa``, WFA)
 ===============  =====================================  =========================
@@ -40,10 +38,9 @@ Representations
 * :class:`repro.linalg.sparse.SparseMatrix` — dict-of-rows (CSR-style)
   storage holding only non-zeros, with sparse vector–matrix kernels and
   Boolean reachability.
-* :class:`repro.linalg.rowspace.RowSpace` — exact incremental row spaces
-  for Tzeng's algorithm, with a fraction-free integer fast path (the
-  vectors start as small naturals) falling back to ``Fraction`` echelon
-  only when a non-integral vector appears.
+* :class:`repro.linalg.rowspace.RowSpace` — the exact incremental row
+  space behind Tzeng's algorithm: an integer basis in reduced echelon
+  form over sparse ``{coordinate: int}`` vectors, indexed by pivot.
 
 Both are pure python and exact over unbounded integers and ``∞``: this
 is the only implementation, so exactness (what makes the procedure a
@@ -56,20 +53,10 @@ dimension bugs surface at the call boundary, not as ``IndexError`` three
 stack frames deep.
 """
 
-from repro.linalg.rowspace import (
-    RowSpace,
-    Vector,
-    add,
-    dot,
-    is_zero,
-    scale,
-    sub,
-    vector,
-)
+from repro.linalg.rowspace import RowSpace
 from repro.linalg.semiring import (
     BOOL,
     EXT_NAT,
-    FRACTION,
     SemiringSpec,
     register_semiring,
     semiring_by_name,
@@ -87,7 +74,6 @@ __all__ = [
     "SemiringSpec",
     "EXT_NAT",
     "BOOL",
-    "FRACTION",
     "register_semiring",
     "semiring_by_name",
     "SparseMatrix",
@@ -97,11 +83,4 @@ __all__ = [
     "vec_dot",
     "reachable",
     "RowSpace",
-    "Vector",
-    "vector",
-    "dot",
-    "scale",
-    "add",
-    "sub",
-    "is_zero",
 ]

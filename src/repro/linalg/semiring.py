@@ -2,16 +2,17 @@
 
 A :class:`SemiringSpec` bundles the constants and operations the kernels in
 :mod:`repro.linalg.sparse` need; any coefficient type can be plugged in by
-describing it here.  Three instances cover every weight domain the decision
+describing it here.  Two instances cover every weight domain the decision
 pipeline uses today:
 
 * :data:`EXT_NAT` — the paper's coefficient semiring ``N̄ = N ∪ {∞}``
   (:class:`repro.core.semiring.ExtNat`), a complete star semiring;
 * :data:`BOOL` — the Boolean semiring ``({0,1}, ∨, ∧)``; its matrices are
   adjacency relations, which is how NFA/DFA reachability becomes an
-  instance of the same kernels;
-* :data:`FRACTION` — the field ``Q`` (:class:`fractions.Fraction`) used by
-  Tzeng's algorithm.
+  instance of the same kernels.
+
+Tzeng's algorithm needs no spec: its vectors are plain integers
+(:mod:`repro.linalg.rowspace`).
 
 The protocol is deliberately *first-order* (plain callables, no abstract
 base class): kernels fetch ``add``/``mul`` once into locals, which keeps the
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable
 
 from repro.core.semiring import ONE, ZERO
@@ -40,7 +40,6 @@ __all__ = [
     "SemiringSpec",
     "EXT_NAT",
     "BOOL",
-    "FRACTION",
     "semiring_by_name",
     "register_semiring",
 ]
@@ -150,13 +149,3 @@ BOOL = _register(SemiringSpec(
 ))
 """Boolean semiring: supports, adjacency and reachability."""
 
-
-FRACTION = _register(SemiringSpec(
-    name="Fraction",
-    zero=Fraction(0),
-    one=Fraction(1),
-    add=operator.add,
-    mul=operator.mul,
-    is_zero=lambda value: value == 0,
-))
-"""The field ``Q`` (Tzeng's exact rational arithmetic)."""

@@ -192,3 +192,37 @@ class TestEquivalence:
         right = expr_to_wfa(parse("1* b"), extra_alphabet=frozenset("ab"))
         result = wfa_equivalent(left, right)
         assert not result.equal
+
+    def test_long_chain_basis_stays_linear(self, monkeypatch):
+        """An n-letter product against its last-letter variant stores O(n)
+        basis entries: each Tzeng vector has two non-zeros, and reducing
+        it touches only the rows its support reaches.  A dense basis holds
+        rank × dimension ≈ 2n² entries here."""
+        import repro.automata.equivalence as equivalence
+        from repro.engine import NKAEngine
+
+        n = 2000
+        letters = ["ab"[i % 2] for i in range(n)]
+        left = parse(" ".join(letters))
+        right = parse(" ".join(letters[:-1] + ["c"]))
+        spaces = []
+
+        class RecordingRowSpace(equivalence.RowSpace):
+            __slots__ = ()
+
+            def __init__(self, dimension):
+                super().__init__(dimension)
+                spaces.append(self)
+
+        monkeypatch.setattr(equivalence, "RowSpace", RecordingRowSpace)
+        for decide in (
+            lambda engine: engine.equal_detailed(left, right),
+            lambda engine: engine.equal_many_detailed([(left, right)])[0],
+        ):
+            spaces.clear()
+            result = decide(NKAEngine(store=False))
+            assert not result.equal
+            assert result.counterexample == tuple(letters)
+            assert len(spaces) == 1
+            stored = sum(len(row) for row in spaces[0]._rows.values())
+            assert stored <= 4 * n, stored

@@ -19,6 +19,12 @@ counterexample word and the deciding reason, compared byte-for-byte on the
 pickled results.  Any divergence means scheduling, caching or the
 warm-back merge leaked into the answers, which the algebra forbids.
 
+Agreement between configurations cannot catch a bug they all share, so
+the sequential verdicts are also checked against the truncated power
+series of Def. A.4 (:func:`repro.series.power_series.series_of_expr`), a
+syntax-directed evaluator that shares no code with the automaton
+pipeline.
+
 The corpus mixes alphabet sizes, depths, star densities and
 identical-by-construction pairs so all decision paths (pointer-equal
 short-circuit, Tzeng exhaustion, counterexample search, ∞-support
@@ -31,8 +37,10 @@ import pytest
 
 from gen import random_pairs
 
-from repro.core.expr import Product, Star, Sum, Symbol, product_of
+from repro.core.expr import Product, Star, Sum, Symbol, alphabet, product_of
+from repro.core.semiring import ZERO
 from repro.engine import NKAEngine
+from repro.series.power_series import series_of_expr
 
 
 # Four seeded slices, 200 pairs: varied alphabets/depths/star biases.
@@ -48,6 +56,9 @@ CORPUS_SPECS = (
 )
 
 CORPUS_SIZE = 203
+
+# Equal verdicts must agree with the series on every word up to this length.
+SERIES_LENGTH = 4
 
 
 def _wide_pairs():
@@ -206,17 +217,16 @@ def test_inferred_verdicts_byte_identical_modulo_reason(corpus, chain):
     oracle.equal_many_detailed(corpus + adjacent, workers=1)
     direct = oracle.equal_many_detailed(closure, workers=1)
 
-    checker = NKAEngine("diff-infer-checker")
     for index, (fast, slow) in enumerate(zip(inferred, direct)):
         assert fast.equal == slow.equal, f"closure pair #{index}"
         assert fast.counterexample == slow.counterexample, f"closure pair #{index}"
         assert fast.reason.startswith("inferred:"), fast.reason
-        if fast.counterexample is not None:
-            left, right = closure[index]
-            assert (
-                checker.coefficient(left, fast.counterexample)
-                != checker.coefficient(right, fast.counterexample)
-            ), f"inferred witness does not distinguish closure pair #{index}"
+        witness = fast.counterexample
+        if witness is not None:
+            lhs, rhs = _series_pair(*closure[index], len(witness))
+            assert lhs.get(witness, ZERO) != rhs.get(witness, ZERO), (
+                f"inferred witness does not distinguish closure pair #{index}"
+            )
 
     # Byte-identity modulo the reason tag: re-tag and compare pickles.
     from repro.automata.equivalence import EquivalenceResult
@@ -230,6 +240,52 @@ def test_inferred_verdicts_byte_identical_modulo_reason(corpus, chain):
         assert pickle.dumps(retagged) == pickle.dumps(slow), (
             f"closure pair #{index} differs beyond the reason tag"
         )
+
+
+def _series_pair(left, right, length):
+    """Both truncated series over the pair's joint alphabet, as dicts."""
+    letters = alphabet(left) | alphabet(right)
+    return (
+        series_of_expr(left, length, letters).as_dict(),
+        series_of_expr(right, length, letters).as_dict(),
+    )
+
+
+def _shortlex(word):
+    return (len(word), word)
+
+
+def test_sequential_verdicts_agree_with_series_oracle(corpus, sequential_verdicts):
+    """(f) The independent oracle.  Equal verdicts: the series agree on
+    every word up to :data:`SERIES_LENGTH`.  Refutations: the witness gets
+    different coefficients, and no shortlex-smaller word separates the
+    series the way the deciding stage looks at them — any difference at
+    all for a finite-part refutation, ``∞`` on exactly one side for an
+    infinity-support one.  (A word with differing *finite* coefficients can
+    precede an infinity-support witness, since stage 1 decides first.)"""
+    for index, ((left, right), verdict) in enumerate(zip(corpus, sequential_verdicts)):
+        witness = verdict.counterexample
+        if verdict.equal:
+            lhs, rhs = _series_pair(left, right, SERIES_LENGTH)
+            assert lhs == rhs, f"pair #{index}: equal verdict, series differ"
+            continue
+        lhs, rhs = _series_pair(left, right, len(witness))
+        at_witness = (lhs.get(witness, ZERO), rhs.get(witness, ZERO))
+        assert at_witness[0] != at_witness[1], f"pair #{index}: {verdict}"
+        earlier = [
+            word
+            for word in lhs.keys() | rhs.keys()
+            if _shortlex(word) < _shortlex(witness)
+        ]
+        infinity_stage = verdict.reason.startswith("infinity supports differ")
+        if infinity_stage:
+            assert at_witness[0].is_infinite != at_witness[1].is_infinite
+        else:
+            assert verdict.reason.startswith("finite coefficients differ"), verdict
+        for word in earlier:
+            a, b = lhs.get(word, ZERO), rhs.get(word, ZERO)
+            separates = a.is_infinite != b.is_infinite if infinity_stage else a != b
+            assert not separates, f"pair #{index}: {word} precedes witness {witness}"
 
 
 def test_inference_off_is_the_default_and_oracle_equal(corpus):

@@ -203,6 +203,16 @@ class TestBatchSemantics:
         assert result.counterexample == ("b",)
         assert engine.equal(parse("(1*) b 0 + 1*"), parse("1*"))
 
+    def test_long_product_decides_through_both_apis(self):
+        """A 20,000-letter product is accepted by the batch API exactly as
+        by the single-pair API: the planner's letter count walks the
+        expression iteratively instead of recursing once per factor."""
+        pair = (parse(" ".join(["a"] * 20000)), parse("a"))
+        batched = NKAEngine(store=False).equal_many_detailed([pair])[0]
+        single = NKAEngine(store=False).equal_detailed(*pair)
+        assert not single.equal and single.counterexample == ("a",)
+        assert pickle.dumps(batched) == pickle.dumps(single)
+
     def test_batch_stats_expose_dedupe_and_timings(self):
         engine = NKAEngine("stats")
         pairs = _fresh_pairs(seed=5, count=30)

@@ -2,10 +2,9 @@
 
 The sparse vector kernels (:mod:`repro.linalg.sparse`) are validated
 against dense list-of-lists arithmetic on seeded random matrices from
-:mod:`tests.gen`; the fraction-free integer ``RowSpace`` fast path is
-validated against the classical ``Fraction`` echelon path; and the
-end-to-end WFA pipeline is cross-checked sparse vs dense on random
-expressions.
+:mod:`tests.gen`; the sparse integer ``RowSpace`` is validated against a
+from-scratch ``Fraction`` Gaussian elimination; and the end-to-end WFA
+pipeline is cross-checked sparse vs dense on random expressions.
 """
 
 import random
@@ -21,7 +20,6 @@ from repro.linalg import (
     EXT_NAT,
     RowSpace,
     SparseMatrix,
-    dot,
     reachable,
     vec_mat,
 )
@@ -83,52 +81,39 @@ class TestSparseAgreesWithDense:
             assert [got.get(j, ZERO) for j in range(m)] == expected
 
 
+def _sparse(row):
+    return {column: value for column, value in enumerate(row) if value}
+
+
+def _insert_against_brute_force(rows, dim):
+    """Insert ``rows`` one at a time; every verdict and rank must match a
+    from-scratch ``Fraction`` elimination of the rows inserted so far, and
+    re-inserting any of them afterwards must be rejected."""
+    space = RowSpace(dim)
+    for count, row in enumerate(rows, 1):
+        before = space.rank
+        inserted = space.insert(_sparse(row))
+        expected = _fraction_rank(rows[:count], dim)
+        assert space.rank == expected
+        assert inserted == (expected > before)
+    for row in rows:
+        assert not space.insert(_sparse(row))
+    assert space.rank == _fraction_rank(rows, dim)
+    return space
+
+
 class TestRowSpaceFastPath:
-    def test_integer_and_fraction_modes_agree(self):
-        """Same inserts, same verdicts, same ranks — int fast path vs ``Q``."""
+    def test_rank_matches_brute_force(self):
+        """Random integer inserts: verdicts and ranks agree with a
+        from-scratch ``Fraction`` Gaussian elimination."""
         rng = random.Random(21)
         for _ in range(60):
             dim = rng.randint(1, 8)
-            fast, slow = RowSpace(dim), RowSpace(dim)
-            # Force the reference instance onto the Fraction path.
-            slow._demote_to_fractions()
-            for _ in range(2 * dim + 2):
-                candidate = tuple(rng.randint(-6, 6) for _ in range(dim))
-                as_fractions = tuple(Fraction(v) for v in candidate)
-                assert fast.insert(candidate) == slow.insert(as_fractions)
-                assert fast.rank == slow.rank
-                assert fast.contains(candidate) and slow.contains(as_fractions)
-            assert fast.integer_mode
-            probe = tuple(rng.randint(-6, 6) for _ in range(dim))
-            assert fast.contains(probe) == slow.contains(
-                tuple(Fraction(v) for v in probe)
-            )
-
-    def test_demotion_mid_stream_keeps_answers(self):
-        rng = random.Random(22)
-        for _ in range(30):
-            dim = rng.randint(2, 6)
-            mixed, reference = RowSpace(dim), RowSpace(dim)
-            reference._demote_to_fractions()
-            inserted = []
-            for step in range(dim + 2):
-                if step == dim // 2:
-                    candidate = tuple(
-                        Fraction(rng.randint(-5, 5), rng.randint(2, 4))
-                        for _ in range(dim)
-                    )
-                else:
-                    candidate = tuple(rng.randint(-5, 5) for _ in range(dim))
-                inserted.append(candidate)
-                assert mixed.insert(candidate) == reference.insert(
-                    tuple(Fraction(v) for v in candidate)
-                )
-            assert not mixed.integer_mode
-            for candidate in inserted:
-                assert mixed.contains(candidate)
-
-    def test_rank_matches_brute_force(self):
-        """Rank agrees with a from-scratch Fraction Gaussian elimination."""
+            rows = [
+                tuple(rng.randint(-6, 6) for _ in range(dim))
+                for _ in range(2 * dim + 2)
+            ]
+            _insert_against_brute_force(rows, dim)
         rng = random.Random(23)
         for _ in range(40):
             dim = rng.randint(1, 6)
@@ -136,11 +121,37 @@ class TestRowSpaceFastPath:
                 tuple(rng.randint(-4, 4) for _ in range(dim))
                 for _ in range(rng.randint(1, 8))
             ]
+            _insert_against_brute_force(rows, dim)
+
+    def test_basis_stays_reduced_and_indexed(self):
+        """After every insert each row is zero at every other pivot,
+        gcd-normalised with a positive pivot entry, and the column index
+        lists exactly the rows with a non-zero in each non-pivot column."""
+        from math import gcd
+
+        rng = random.Random(24)
+        for _ in range(40):
+            dim = rng.randint(1, 10)
             space = RowSpace(dim)
-            for row in rows:
-                space.insert(row)
-            assert space.rank == _fraction_rank(rows, dim)
-            assert space.integer_mode
+            for _ in range(2 * dim):
+                space.insert({
+                    column: rng.randint(-5, 5)
+                    for column in rng.sample(range(dim), rng.randint(1, dim))
+                })
+                rows = space._rows
+                index = {}
+                for pivot, row in rows.items():
+                    assert row[pivot] > 0 and gcd(*row.values()) == 1
+                    assert all(value for value in row.values())
+                    for column in row:
+                        assert column == pivot or column not in rows
+                        if column != pivot:
+                            index.setdefault(column, set()).add(pivot)
+                assert index == {
+                    column: pivots
+                    for column, pivots in space._columns.items()
+                    if pivots
+                }
 
     @pytest.mark.parametrize("dim", [64, 96])
     def test_entries_beyond_int64_stay_exact(self, dim):
@@ -155,15 +166,8 @@ class TestRowSpaceFastPath:
             (0,) * (dim - 1) + (-huge,),
         ]
         rows += [rows[1], tuple(a + b for a, b in zip(rows[0], rows[3]))]
-        fast, slow = RowSpace(dim), RowSpace(dim)
-        slow._demote_to_fractions()
-        for row in rows:
-            assert fast.insert(row) == slow.insert(tuple(Fraction(v) for v in row))
-            assert fast.rank == slow.rank
-        assert fast.integer_mode
-        assert fast.rank == _fraction_rank(rows, dim) == 5
-        for row in rows:
-            assert fast.contains(row)
+        space = _insert_against_brute_force(rows, dim)
+        assert space.rank == 5
 
 
 class TestValidation:
@@ -179,11 +183,12 @@ class TestValidation:
             matrix.get(0, 5)
 
     def test_vector_dimension_mismatch(self):
-        with pytest.raises(DecisionError, match="dimension mismatch"):
-            dot((1, 2), (1, 2, 3))
         space = RowSpace(3)
-        with pytest.raises(DecisionError, match="dimension 2"):
-            space.insert((1, 2))
+        with pytest.raises(DecisionError, match="coordinate 3 .* dimension 3"):
+            space.insert({0: 1, 3: 2})
+        with pytest.raises(DecisionError, match="coordinate -1"):
+            space.insert({-1: 1})
+        assert space.rank == 0
 
 
 class TestReachability:
