@@ -103,9 +103,9 @@ def _insert_against_brute_force(rows, dim):
 
 
 class TestRowSpaceFastPath:
-    def test_rank_matches_brute_force(self):
-        """Random integer inserts: verdicts and ranks agree with a
-        from-scratch ``Fraction`` Gaussian elimination."""
+    def test_integer_and_fraction_modes_agree(self):
+        """Same inserts, same verdicts, same ranks — the integer basis vs
+        elimination over ``Q``, including a fresh probe's membership."""
         rng = random.Random(21)
         for _ in range(60):
             dim = rng.randint(1, 8)
@@ -113,7 +113,13 @@ class TestRowSpaceFastPath:
                 tuple(rng.randint(-6, 6) for _ in range(dim))
                 for _ in range(2 * dim + 2)
             ]
-            _insert_against_brute_force(rows, dim)
+            space = _insert_against_brute_force(rows, dim)
+            probe = tuple(rng.randint(-6, 6) for _ in range(dim))
+            spanned = _fraction_rank(rows + [probe], dim) == space.rank
+            assert space.insert(_sparse(probe)) == (not spanned)
+
+    def test_rank_matches_brute_force(self):
+        """Rank agrees with a from-scratch Fraction Gaussian elimination."""
         rng = random.Random(23)
         for _ in range(40):
             dim = rng.randint(1, 6)
