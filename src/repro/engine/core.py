@@ -37,7 +37,7 @@ import threading
 import time
 from dataclasses import asdict
 from itertools import product as _words_product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.automata.equivalence import EquivalenceResult, wfa_equivalent
 from repro.automata.wfa import WFA, expr_to_wfa
@@ -515,39 +515,6 @@ class NKAEngine:
                 self._store_errors += 1
             return False
 
-    def _batch_compiled_probe(self, pairs) -> FrozenSet[Expr]:
-        """Every batch expression whose automaton is already available.
-
-        One pass, batched: the session cache answers under the lock, the
-        rest go through :meth:`CompileStore.contains_digests`, which
-        resolves repeats and recent answers from its in-memory TTL caches
-        — O(1) syscalls per *novel* digest instead of one disk stat per
-        expression per plan."""
-        distinct: List[Expr] = []
-        seen = set()
-        for left, right in pairs:
-            for expr in (left, right):
-                if expr not in seen:
-                    seen.add(expr)
-                    distinct.append(expr)
-        with self._lock:
-            available = {expr for expr in distinct if expr in self._wfa}
-        store = self._store
-        if store is not None and len(available) < len(distinct):
-            remaining = {
-                expr_digest(expr): expr
-                for expr in distinct
-                if expr not in available
-            }
-            try:
-                present = store.contains_digests(remaining.keys())
-            except Exception:
-                with self._lock:
-                    self._store_errors += 1
-            else:
-                available.update(remaining[digest] for digest in present)
-        return frozenset(available)
-
     # -- batch API ---------------------------------------------------------
 
     def equal_many_detailed(
@@ -565,16 +532,14 @@ class NKAEngine:
         pairs = list(pairs)
         effective_workers = self.workers if workers is None else max(1, int(workers))
         plan_started = time.perf_counter()
-        # With a compile store attached, expressions whose automata are
-        # already available — session cache or store — cost ~nothing, so
-        # ordering and chunking see the batch's *residual* work, not
-        # phantom compilations.
-        cost_estimate = None
-        if self._store is not None:
-            available = self._batch_compiled_probe(pairs)
-            cost_estimate = cached_aware_cost_estimate(
-                _default_cost_estimate, available.__contains__
-            )
+        # Expressions whose automata are already available — session cache
+        # or store — cost ~nothing, so ordering and chunking see the batch's
+        # residual work, not phantom compilations.  The planner asks only
+        # for the tasks the verdict tiers leave, so only their expressions
+        # are probed.
+        cost_estimate = cached_aware_cost_estimate(
+            _default_cost_estimate, self._is_compiled
+        )
         plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
         plan_seconds = time.perf_counter() - plan_started
         with self._exec_lock:

@@ -447,6 +447,39 @@ class TestEngineWiring:
             assert served.stats()["store"]["parent_hits"] > 0
         assert pickle.dumps(baseline) == pickle.dumps(verdicts)
 
+    def test_plan_probes_only_the_residual_pairs(self, tmp_path, monkeypatch):
+        """A replica batch of N store-known pairs plus one novel pair
+        probes the WFA tier only for the novel pair's two expressions: the
+        verdict tier answers the rest before any cost is estimated."""
+        root = str(tmp_path)
+        known = [
+            (left, right)
+            for left, right in random_pairs(seed=907, count=24, depth=3)
+            if left is not right
+        ]
+        with NKAEngine("probe-pub", store=root) as publisher:
+            publisher.equal_many_detailed(known, workers=1)
+        novel = (sym("probe_novel_l"), Star(sym("probe_novel_r")))
+        batch = known + [novel]
+
+        probed = []
+        real_contains_digests = CompileStore.contains_digests
+
+        def counting(self, digests):
+            digests = list(digests)
+            probed.extend(digests)
+            return real_contains_digests(self, digests)
+
+        monkeypatch.setattr(CompileStore, "contains_digests", counting)
+        with NKAEngine("probe-replica", store=root) as replica:
+            verdicts = replica.equal_many_detailed(batch, workers=1)
+        assert len(probed) <= 2
+        assert set(probed) <= {persist.expr_digest(expr) for expr in novel}
+
+        reference = NKAEngine("probe-ref", store=False)
+        expected = [reference.equal_detailed(left, right) for left, right in batch]
+        assert pickle.dumps(verdicts) == pickle.dumps(expected)
+
     def test_env_variable_attaches_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_STORE", str(tmp_path))
         engine = NKAEngine("store-env")

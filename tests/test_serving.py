@@ -33,7 +33,7 @@ import pytest
 
 from gen import random_pairs
 
-from repro.core.parser import parse
+from repro.core.parser import MAX_NESTING, parse
 from repro.engine import NKAEngine
 from repro.engine.store import CompileStore
 from repro.serving import (
@@ -504,6 +504,32 @@ class TestHTTP:
         assert tenant["completed"] >= 3
         assert "p99_ms" in tenant["latency"]
         assert tenant["engine"]["engine"] == "serving[t]"
+
+    def test_too_deep_expression_is_a_400_naming_the_bound(self):
+        deep = "(" * 400 + "a" + ")*" * 400
+
+        async def scenario():
+            async with NKAService([TenantConfig("t")]) as service:
+                async with ServingHTTPServer(service) as http:
+                    refused = await self._request(
+                        http.port,
+                        "POST",
+                        "/equal",
+                        {"tenant": "t", "left": deep, "right": "a"},
+                    )
+                    after = await self._request(
+                        http.port,
+                        "POST",
+                        "/equal",
+                        {"tenant": "t", "left": "a b", "right": "a b"},
+                    )
+                    return refused, after
+
+        (status, document), after = asyncio.run(scenario())
+        assert status == 400
+        assert f"MAX_NESTING = {MAX_NESTING}" in document["error"]
+        # The refusal leaves the tenant serving.
+        assert after == (200, {**after[1], "equal": True})
 
     def test_quota_maps_to_429(self):
         pairs = _pairs(seed=941, count=10)
