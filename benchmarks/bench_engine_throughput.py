@@ -1,20 +1,14 @@
-"""ENGINE — batched decision throughput: planner + workers + warm start.
+"""ENGINE — batched decision throughput: planner + warm start + stores.
 
 The ROADMAP north-star is a serving system: many related equality queries
 arriving in batches, answered from warm caches where possible.  This bench
-measures the three levers the engine subsystem adds over the PR 3 sequential
-batch API:
+measures the levers the engine subsystem adds over the first sequential
+batch API (reimplemented below as the baseline):
 
 * **planning** — dedupe by interned identity, per-pair alphabets (the PR 3
   path compiled everything over the whole batch's *union* alphabet, so
   every Tzeng advance paid for letters the pair never mentions), and
-  cheapest-first ordering;
-* **parallel execution** — independent planned queries on the engine's
-  *persistent* worker pool (PR 5): workers start once per engine, keep
-  their compile memos across batches, and warm the parent's WFA cache
-  through the warm-back channel; a second distinct batch on a warm pool
-  is compared against forcing a fresh pool per batch (the PR 4
-  behaviour) and gated in CI;
+  cheapest-first ordering (``engine_cold``, one fresh engine per round);
 * **warm start** — a fresh engine loaded from a persisted warm state must
   answer the whole batch with *zero* compilations;
 * **cold compile** — a fresh engine compiles then decides the batch
@@ -41,11 +35,10 @@ engine's, not an artifact of unrelated pipeline improvements.  Verdict
 booleans are asserted identical between baseline and every engine
 configuration.
 
-Run directly for a JSON report (CI uploads it and gates on the 2-worker
-sweep beating the baseline)::
+Run directly for a JSON report (CI uploads it and gates on it)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
-        --pairs 240 --workers 1 2 4 --json BENCH_engine.json --check
+        --pairs 240 --json BENCH_engine.json --check
 """
 
 import argparse
@@ -265,7 +258,7 @@ def _cold() -> None:
     clear_caches()
 
 
-def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3):
+def run_suite(total_pairs, json_path=None, check=False, rounds=3):
     batch = mixed_batch(total_pairs)
     results = {
         "pairs": len(batch),
@@ -275,14 +268,14 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
     }
 
     # Every timing below is best-of-``rounds`` with a cold cache each
-    # round, and the baseline + worker configs are measured *interleaved
+    # round, and the baseline and the engine are measured *interleaved
     # within each round* rather than section by section: a throttled
     # 1-core runner can drift 20-30% over a minute, which would decide
-    # the parallel-vs-sequential gate if the contenders ran minutes
+    # the engine-vs-baseline comparison if the contenders ran minutes
     # apart.
     baseline_seconds = float("inf")
     baseline = None
-    best_by_workers = {}
+    best_cold = None
     for _ in range(rounds):
         _cold()
         started = time.perf_counter()
@@ -290,34 +283,25 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
         elapsed = time.perf_counter() - started
         if elapsed < baseline_seconds:
             baseline_seconds, baseline = elapsed, round_baseline
-        for workers in workers_sweep:
-            _cold()
-            candidate = NKAEngine(f"bench-w{workers}")
-            started = time.perf_counter()
-            candidate_verdicts = candidate.equal_many(batch, workers=workers)
-            seconds = time.perf_counter() - started
-            candidate.close()  # caches survive close; only the pool goes
-            previous = best_by_workers.get(workers)
-            if previous is None or seconds < previous[0]:
-                best_by_workers[workers] = (seconds, candidate, candidate_verdicts)
+        _cold()
+        candidate = NKAEngine("bench-cold-batch")
+        started = time.perf_counter()
+        candidate_verdicts = candidate.equal_many(batch)
+        seconds = time.perf_counter() - started
+        if best_cold is None or seconds < best_cold[0]:
+            best_cold = (seconds, candidate, candidate_verdicts)
     results["configs"]["pr3_sequential"] = {"seconds": round(baseline_seconds, 4)}
 
-    verdicts_by_config = {}
-    warm_source = None
-    for workers in workers_sweep:
-        best_seconds, engine, verdicts = best_by_workers[workers]
-        stats = engine.stats()
-        results["configs"][f"engine_cold_w{workers}"] = {
-            "seconds": round(best_seconds, 4),
-            "speedup_vs_pr3": round(baseline_seconds / best_seconds, 2),
-            "planner": stats["planner"],
-            "executor": stats["last_batch"]["executor"],
-            "compilations": stats["compilations"],
-            "warm_back": stats["warm_back"],
-        }
-        verdicts_by_config[f"w{workers}"] = verdicts
-        if warm_source is None:
-            warm_source = engine
+    best_seconds, warm_source, verdicts = best_cold
+    stats = warm_source.stats()
+    results["configs"]["engine_cold"] = {
+        "seconds": round(best_seconds, 4),
+        "speedup_vs_pr3": round(baseline_seconds / best_seconds, 2),
+        "planner": stats["planner"],
+        "executor": stats["last_batch"]["executor"],
+        "compilations": stats["compilations"],
+    }
+    verdicts_by_config = {"engine_cold": verdicts}
 
     # -- cold compile, then decide, on a fresh engine ----------------------
     # Each metric keeps its own best-of-rounds (the compile gate compares
@@ -350,52 +334,6 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
         "compile_gate_seconds": EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS,
     }
     verdicts_by_config["cold"] = cold_best["verdicts"]
-
-    # -- persistent pool vs fresh fork: the PR 5 tentpole lever ------------
-    # Same engine, two different *distinct* batches: the first starts and
-    # warms the pool, the timed second batch either reuses those live
-    # workers (persistent) or pays pool start-up again after recycle_pool()
-    # — which is exactly the per-batch fork cost the PR 4 executor paid on
-    # every call.
-    batch2 = mixed_batch(total_pairs, seed=4048)
-    second_batch = {}
-    for label, recycle in (("pool_persistent", False), ("fresh_fork", True)):
-        best_seconds = float("inf")
-        best_stats = best_verdicts = None
-        for _ in range(rounds):
-            _cold()
-            with NKAEngine(f"bench-{label}", workers=2) as candidate:
-                candidate.equal_many(batch, workers=2)
-                if recycle:
-                    candidate.recycle_pool()
-                started = time.perf_counter()
-                candidate_verdicts = candidate.equal_many(batch2, workers=2)
-                seconds = time.perf_counter() - started
-                stats = candidate.stats()
-            if seconds < best_seconds:
-                best_seconds, best_stats, best_verdicts = (
-                    seconds, stats, candidate_verdicts,
-                )
-        second_batch[label] = {
-            "seconds": best_seconds,
-            "mode": best_stats["last_batch"]["executor"]["mode"],
-            "verdicts": best_verdicts,
-            "pool": best_stats["executor"]["pool"],
-        }
-    assert second_batch["pool_persistent"]["verdicts"] == second_batch[
-        "fresh_fork"
-    ]["verdicts"], "second-batch verdict divergence between pool configs"
-    persistent_seconds = second_batch["pool_persistent"]["seconds"]
-    fresh_seconds = second_batch["fresh_fork"]["seconds"]
-    results["configs"]["engine_pool_second_batch"] = {
-        "seconds": round(persistent_seconds, 4),
-        "mode": second_batch["pool_persistent"]["mode"],
-        "speedup_vs_fresh_fork": round(fresh_seconds / persistent_seconds, 3),
-    }
-    results["configs"]["engine_fresh_fork_second_batch"] = {
-        "seconds": round(fresh_seconds, 4),
-        "mode": second_batch["fresh_fork"]["mode"],
-    }
 
     # Warm start: persist the first engine's caches, reload into a fresh
     # session, answer the whole batch again.
@@ -588,33 +526,6 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
             json.dump(results, handle, indent=2, sort_keys=True)
 
     if check:
-        two_worker = results["configs"].get("engine_cold_w2")
-        assert two_worker is not None, "--check needs workers sweep to include 2"
-        if two_worker["executor"]["mode"] == "pool":
-            # Real cores available: parallel must beat the sequential
-            # baseline outright.
-            assert two_worker["seconds"] <= baseline_seconds, (
-                "parallel batch throughput fell below the sequential baseline: "
-                f"{two_worker['seconds']:.3f}s vs {baseline_seconds:.3f}s"
-            )
-        else:
-            # Single-core box: the executor rightly degraded to in-process
-            # execution, so "parallel" can only tie the sequential engine —
-            # require it within a 10% noise band of the baseline.
-            assert two_worker["seconds"] <= baseline_seconds * 1.10, (
-                "degraded (single-core) engine batch fell >10% behind the "
-                f"baseline: {two_worker['seconds']:.3f}s vs {baseline_seconds:.3f}s"
-            )
-        pooled = results["configs"]["engine_pool_second_batch"]
-        fresh = results["configs"]["engine_fresh_fork_second_batch"]
-        if pooled["mode"] == "pool" and fresh["mode"] == "pool":
-            # The persistent pool's second batch skips pool start-up that
-            # the fresh-fork path pays; best-of-N minima must show it
-            # (1.05 = timer-noise allowance, not a hedge on the lever).
-            assert pooled["seconds"] <= fresh["seconds"] * 1.05, (
-                "persistent pool lost its second-batch advantage: "
-                f"{pooled['seconds']:.3f}s vs fresh-fork {fresh['seconds']:.3f}s"
-            )
         assert results["configs"]["engine_warm_reload"]["compilations"] == 0, (
             "warm-state reload compiled automata"
         )
@@ -665,20 +576,20 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
 
 @pytest.fixture(scope="module")
 def small_suite():
-    return run_suite(total_pairs=80, workers_sweep=[1, 2])
+    return run_suite(total_pairs=80)
 
 
 def test_engine_verdicts_match_pr3_baseline(small_suite):
     assert small_suite["verdicts_identical"]
     report(
         "ENGINE/verdicts",
-        "batch planning/parallelism must not change answers",
+        "batch planning must not change answers",
         f"{small_suite['pairs']} mixed pairs identical across all configs",
     )
 
 
 def test_engine_cold_not_slower_than_pr3(small_suite):
-    cold = small_suite["configs"]["engine_cold_w1"]
+    cold = small_suite["configs"]["engine_cold"]
     # Smoke-sized batches finish in ~0.2 s, where timer noise swamps the
     # planner's margin — allow 15% here; the CI sweep (--check, 240+ pairs)
     # holds the strict ≥-baseline gate.
@@ -686,7 +597,7 @@ def test_engine_cold_not_slower_than_pr3(small_suite):
     report(
         "ENGINE/planner",
         "per-pair alphabets + dedupe beat union-alphabet sequential",
-        f"cold 1-worker speedup {cold['speedup_vs_pr3']}× vs PR 3 baseline",
+        f"cold speedup {cold['speedup_vs_pr3']}× vs the sequential baseline",
     )
 
 
@@ -738,14 +649,13 @@ def test_engine_chain_inference_closes_the_transitive_closure(small_suite):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=240)
-    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
     parser.add_argument("--json", type=str, default=None)
     parser.add_argument("--check", action="store_true",
-                        help="assert 2-worker ≥ sequential and warm=0 compiles")
+                        help="assert warm=0 compiles and the compile, store "
+                             "and chain gates")
     args = parser.parse_args(argv)
     results = run_suite(
         total_pairs=args.pairs,
-        workers_sweep=args.workers,
         json_path=args.json,
         check=args.check,
     )

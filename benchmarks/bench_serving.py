@@ -153,7 +153,6 @@ def run_throughput_config(
             "planner": {
                 "duplicates": planner["duplicates"],
                 "verdict_cache_hits": planner["verdict_cache_hits"],
-                "shared_expression_groups": planner["shared_expression_groups"],
                 "dedupe_ratio": planner["dedupe_ratio"],
             },
         },
@@ -298,12 +297,8 @@ def run_suite(
             f"{row['requests']} requests"
         )
         planner = row["planner"]
-        engaged = (
-            planner["duplicates"]
-            + planner["verdict_cache_hits"]
-            + planner["shared_expression_groups"]
-        )
-        assert engaged > 0, f"planner dedupe/sharing never engaged: {planner}"
+        engaged = planner["duplicates"] + planner["verdict_cache_hits"]
+        assert engaged > 0, f"planner dedupe never engaged: {planner}"
         assert saturation["rejected"] > 0, (
             "saturation never tripped backpressure"
         )
@@ -345,12 +340,7 @@ def test_serving_coalescing_engages(small_suite):
     assert row["batches"] < row["requests"]
     assert row["coalesce_ratio"] > 1.0
     planner = row["planner"]
-    assert (
-        planner["duplicates"]
-        + planner["verdict_cache_hits"]
-        + planner["shared_expression_groups"]
-        > 0
-    )
+    assert planner["duplicates"] + planner["verdict_cache_hits"] > 0
     report(
         "SERVING/coalescing",
         "concurrent arrivals merge into planned batches",

@@ -12,8 +12,8 @@ now sits on top, :class:`repro.serving.NKAService`:
    caches, quotas and knobs; no shared state unless opted into;
 2. **coalescing** — concurrent ``await service.equal(...)`` calls from
    independent client coroutines are merged into one planned
-   ``equal_many`` batch, so the engine planner's dedupe/sharing works
-   *across* requests without any client cooperation;
+   ``equal_many`` batch, so the engine planner's dedupe works *across*
+   requests without any client cooperation;
 3. **backpressure** — a flooding tenant is rejected with 429 semantics at
    its own ``max_queue`` while its neighbours never notice;
 4. **fleet verdict sharing** — two tenants pointed at one compile store:
@@ -22,10 +22,10 @@ now sits on top, :class:`repro.serving.NKAService`:
 5. **an HTTP front door** — ``POST /equal`` and ``GET /stats`` on a
    stdlib asyncio server;
 6. **graceful drain** — ``close()`` answers everything admitted, then
-   reaps every tenant engine (no leaked pool workers).
+   closes every tenant engine.
 
-The engine-level levers underneath (persistent worker pools, warm-state
-snapshots, the content-addressed compile store, the verdict ledger) are
+The engine-level levers underneath (warm-state snapshots, the
+content-addressed compile store, the verdict ledger) are
 walked through in ``benchmarks/bench_engine_throughput.py`` and
 ``src/repro/engine/README.md``.
 """
@@ -176,8 +176,6 @@ async def walkthrough() -> None:
     await service.close()
     verdicts = await tail            # admitted before close => still answered
     print(f"  {len(verdicts)} in-flight requests answered through the drain")
-    print(f"  pool workers reaped: ci worker_pids == "
-          f"{service.engine('ci').worker_pids()}")
     try:
         await service.equal("ci", left, right)
     except Exception as error:

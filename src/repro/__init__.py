@@ -33,8 +33,8 @@ Quickstart::
 Serving / batch workloads::
 
     from repro import NKAEngine
-    engine = NKAEngine("session", workers=4)
-    engine.equal_many(pairs)                  # planned, deduped, parallel
+    engine = NKAEngine("session")
+    engine.equal_many(pairs)                  # planned, deduped, cached
     engine.save_warm_state("warm.pickle")     # cross-process warm start
 """
 

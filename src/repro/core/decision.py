@@ -51,8 +51,8 @@ registry names ``decision.wfa`` / ``decision.results``).  Isolated
 workloads — separate serving sessions, tests that must not share verdicts,
 differently-sized caches — construct their own
 :class:`~repro.engine.NKAEngine`; for batches, the engine's planner dedupes
-by interned identity and :meth:`~repro.engine.NKAEngine.equal_many` can run
-the batch on process workers, and
+by interned identity before :meth:`~repro.engine.NKAEngine.equal_many` runs
+the remaining tasks on the session's caches, and
 :meth:`~repro.engine.NKAEngine.save_warm_state` /
 ``NKAEngine(warm_state=…)`` persist the caches across processes for
 serve-mode warm start.
@@ -133,25 +133,20 @@ def nka_equal(left: Expr, right: Expr) -> bool:
 
 def nka_equal_many_detailed(
     pairs: Iterable[Tuple[Expr, Expr]],
-    workers: Optional[int] = None,
 ) -> List[EquivalenceResult]:
     """Decide a batch of queries through the default engine's planner.
 
     The batch is deduped by interned identity (duplicates and symmetric
     flips collapse to one task), short-circuited against the verdict cache,
-    ordered cheapest-first, and — with ``workers > 1`` — executed on
-    process workers.  Verdicts agree with the one-at-a-time API in every
-    configuration and land in the same caches.
+    ordered cheapest-first, and run through the default engine's caches.
+    Verdicts agree with the one-at-a-time API and land in the same caches.
     """
-    return default_engine().equal_many_detailed(pairs, workers=workers)
+    return default_engine().equal_many_detailed(pairs)
 
 
-def nka_equal_many(
-    pairs: Iterable[Tuple[Expr, Expr]],
-    workers: Optional[int] = None,
-) -> List[bool]:
+def nka_equal_many(pairs: Iterable[Tuple[Expr, Expr]]) -> List[bool]:
     """Batched :func:`nka_equal`: one bool per pair, compilation shared."""
-    return default_engine().equal_many(pairs, workers=workers)
+    return default_engine().equal_many(pairs)
 
 
 def coefficient(expr: Expr, word: Sequence[str]) -> ExtNat:

@@ -3,15 +3,10 @@
 Public surface:
 
 * :class:`NKAEngine` — a session owning its compile/verdict caches, with a
-  query planner, parallel batch execution, persistent warm start and
+  query planner, in-process batch execution, persistent warm start and
   unified metrics (:mod:`repro.engine.core`);
 * :func:`default_engine` — the process-wide session backing the classic
   :mod:`repro.core.decision` module-level API;
-* the persistent worker pool — :class:`~repro.engine.pool.WorkerPool`:
-  one set of processes per engine, surviving across batches, recycled on
-  worker death or pipeline-fingerprint change, returning compile results
-  over a warm-back channel that feeds the parent's WFA cache
-  (:mod:`repro.engine.pool`);
 * the persistence layer — :class:`WarmState`, :func:`pipeline_fingerprint`,
   :class:`WarmStateError` / :class:`StaleWarmStateError`,
   :func:`describe_warm_state` (:mod:`repro.engine.persist`);
@@ -27,29 +22,27 @@ Public surface:
   ``REPRO_VERDICT_INFER=1``) chains of known verdicts answer new pairs
   with zero compiles and zero Tzeng runs, and the store also shares
   whole *verdicts* fleet-wide (:mod:`repro.engine.verdicts`);
-* planner/executor introspection types for tooling —
+* planner introspection types for tooling —
   :class:`~repro.engine.planner.BatchPlan`,
-  :class:`~repro.engine.executor.ExecutionReport`.
+  :class:`~repro.engine.planner.PlanStats`.
 
 Typical serve-mode use::
 
     from repro.engine import NKAEngine
 
-    with NKAEngine("serving", workers=4) as engine:
-        verdicts = engine.equal_many(batch_of_pairs)  # planned + pooled
-        more = engine.equal_many(next_batch)          # same warm workers
-        engine.save_warm_state("nka-warm.pickle")     # incl. warm-back
-    # pool workers joined and reaped here
+    with NKAEngine("serving") as engine:
+        verdicts = engine.equal_many(batch_of_pairs)  # planned + deduped
+        more = engine.equal_many(next_batch)          # same warm caches
+        engine.save_warm_state("nka-warm.pickle")
     ...
     with NKAEngine("serving", warm_state="nka-warm.pickle") as engine:
         verdicts = engine.equal_many(batch_of_pairs)  # zero compilations
 
 See ``examples/engine_serving.py`` for the full walkthrough and
-``src/repro/engine/README.md`` for pool lifecycle + warm-back semantics.
+``src/repro/engine/README.md`` for the batch path and cache semantics.
 """
 
 from repro.engine.core import NKAEngine, default_engine, words_up_to
-from repro.engine.executor import ExecutionReport, decide_pure
 from repro.engine.persist import (
     StaleWarmStateError,
     WarmState,
@@ -59,14 +52,7 @@ from repro.engine.persist import (
     pipeline_fingerprint,
     save_warm_state,
 )
-from repro.engine.planner import (
-    BatchPlan,
-    PlannedQuery,
-    PlanStats,
-    chunk_tasks,
-    plan_batch,
-)
-from repro.engine.pool import WorkerPool, pool_context
+from repro.engine.planner import BatchPlan, PlannedQuery, PlanStats, plan_batch
 from repro.engine.verdicts import (
     INFERRED_EQUAL_REASON,
     VerdictContradictionError,
@@ -100,15 +86,10 @@ __all__ = [
     "NKAEngine",
     "default_engine",
     "words_up_to",
-    "decide_pure",
-    "ExecutionReport",
     "BatchPlan",
     "PlannedQuery",
     "PlanStats",
     "plan_batch",
-    "chunk_tasks",
-    "WorkerPool",
-    "pool_context",
     "CompileStore",
     "describe_store",
     "gc_store",

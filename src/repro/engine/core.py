@@ -13,10 +13,9 @@ cache registry.
 What an engine adds over the bare pipeline:
 
 * **query planning** (:mod:`repro.engine.planner`) — batches are deduped by
-  interned identity, short-circuited against the verdict cache, ordered
-  cheapest-first and grouped by shared subexpressions;
-* **parallel batch execution** (:mod:`repro.engine.executor`) — planned
-  tasks run on process workers, verdicts merging back deterministically;
+  interned identity, short-circuited against the verdict cache and ordered
+  cheapest-first; the remaining tasks run in order through the session's
+  own caches;
 * **persistent warm start** (:mod:`repro.engine.persist`) — caches
   serialize to a fingerprint-versioned on-disk state, so a fresh process
   answers a known workload with zero compilations;
@@ -43,7 +42,6 @@ from repro.automata.equivalence import EquivalenceResult, wfa_equivalent
 from repro.automata.wfa import WFA, expr_to_wfa
 from repro.core.expr import Expr, alphabet
 from repro.core.semiring import ExtNat
-from repro.engine.executor import execute_tasks
 from repro.engine.planner import (
     IDENTICAL_RESULT,
     PlanStats,
@@ -51,7 +49,6 @@ from repro.engine.planner import (
     cached_aware_cost_estimate,
     plan_batch,
 )
-from repro.engine.pool import WorkerPool
 from repro.engine.persist import (
     StaleWarmStateError,
     WarmState,
@@ -82,18 +79,6 @@ class NKAEngine:
         name: label used in stats and cache names (auto-numbered if omitted).
         wfa_capacity / result_capacity: LRU bounds of the session's compile
             and verdict caches.
-        workers: default worker count for :meth:`equal_many` (overridable
-            per call); ``1`` means in-process sequential execution.  The
-            first parallel batch starts a **persistent**
-            :class:`~repro.engine.pool.WorkerPool` owned by this engine:
-            workers survive across batches (keeping their compile memos
-            warm), are replaced transparently if they die, and are recycled
-            wholesale when the pipeline fingerprint changes mid-session.
-            Call :meth:`close` — or use the engine as a context manager —
-            to shut the pool down deterministically.
-        start_method: multiprocessing start method for the pool (``fork``/
-            ``spawn``/``forkserver``); default prefers ``fork``, overridable
-            process-wide via ``REPRO_ENGINE_START_METHOD``.
         warm_state: a :class:`~repro.engine.persist.WarmState`, or a path to
             one, to preload the caches from.  Stale state (pipeline
             fingerprint mismatch) raises
@@ -101,10 +86,9 @@ class NKAEngine:
             ``strict_warm_state=False``, which falls back to a cold start.
         store: a shared :class:`~repro.engine.store.CompileStore` (or a
             directory path to open one at) consulted on every compile-cache
-            miss and fed by every fresh compilation — including the pool's
-            warm-back entries, published at most once each — so a fleet of
-            engines across processes and hosts compiles each expression
-            once.  ``None`` (default) follows ``REPRO_COMPILE_STORE``;
+            miss and fed by every fresh compilation, so a fleet of engines
+            across processes and hosts compiles each expression once.
+            ``None`` (default) follows ``REPRO_COMPILE_STORE``;
             pass ``store=False`` to disable the store even when the
             environment variable is set.  Store failures of any kind are
             counted, never raised: an engine without its store is merely
@@ -130,9 +114,10 @@ class NKAEngine:
             of the global namespace by design.
 
     Thread-safety: cache mutations are guarded by an internal lock, so an
-    engine may be *called* from several threads; true parallelism comes
-    from process workers in :meth:`equal_many`, not from threading.
+    engine may be *called* from several threads; batches run one at a time.
     """
+
+    workers = 1  # read only by nkabench; goes with the next benchmark change
 
     def __init__(
         self,
@@ -140,8 +125,6 @@ class NKAEngine:
         *,
         wfa_capacity: int = 4096,
         result_capacity: int = 8192,
-        workers: int = 1,
-        start_method: Optional[str] = None,
         warm_state: Union[None, str, WarmState] = None,
         strict_warm_state: bool = True,
         store: Union[None, bool, str, CompileStore] = None,
@@ -164,8 +147,6 @@ class NKAEngine:
         if register_globally:
             process_registry().register(self._wfa)
             process_registry().register(self._results)
-        self.workers = max(1, int(workers))
-        self._start_method = start_method
         # The store module is imported only when a store is actually
         # configured: `python -m repro.engine.store` (the ops CLI) imports
         # this package — through the default engine built at `import repro`
@@ -195,11 +176,11 @@ class NKAEngine:
         # toggling inference on mid-session); it is only *consulted* when
         # inference is enabled.
         self._ledger = VerdictLedger(capacity=max(1024, 8 * result_capacity))
-        self._pool: Optional[WorkerPool] = None
         self._lock = threading.RLock()
-        # Serialises batch execution: the pool's shared queues carry one
-        # batch at a time (interleaving two would interleave their
-        # warm-back accounting); cache reads/writes stay under _lock.
+        # Serialises batch execution: the work is CPU-bound under the GIL,
+        # so interleaving two threads' batches would only delay both, and
+        # close() waits on this lock for an in-flight batch.  Cache
+        # reads/writes stay under _lock.
         self._exec_lock = threading.Lock()
         self._compilations = 0
         self._decisions = 0
@@ -220,17 +201,8 @@ class NKAEngine:
     def _reset_lifetime_executor_stats(self) -> None:
         self._store_hits = 0
         self._store_publishes = 0
-        self._store_worker_hits = 0
         self._store_errors = 0
         self._tasks_executed = 0
-        self._sequential_batches = 0
-        self._pooled_batches = 0
-        self._worker_restarts = 0
-        self._pool_recycles = 0
-        self._fallback_tasks = 0
-        self._warmback_returned = 0
-        self._warmback_merged = 0
-        self._warmback_skipped = 0
 
     def _reset_verdict_stats(self) -> None:
         self._verdicts_direct = 0
@@ -239,7 +211,6 @@ class NKAEngine:
         self._verdicts_inferred_refuted = 0
         self._verdict_store_hits = 0
         self._verdict_store_publishes = 0
-        self._verdict_worker_store_hits = 0
 
     # -- single-query API --------------------------------------------------
 
@@ -518,134 +489,64 @@ class NKAEngine:
     # -- batch API ---------------------------------------------------------
 
     def equal_many_detailed(
-        self,
-        pairs: Iterable[Tuple[Expr, Expr]],
-        workers: Optional[int] = None,
+        self, pairs: Iterable[Tuple[Expr, Expr]]
     ) -> List[EquivalenceResult]:
-        """Decide a batch: plan (dedupe/short-circuit/order), execute, merge.
+        """Decide a batch: plan (dedupe/short-circuit/order), run, merge.
 
         Verdicts are byte-identical to calling :meth:`equal_detailed` once
-        per pair, for every worker count: the planner only removes work
-        whose answer is already forced, and every remaining task runs the
-        same pure computation the sequential path would.
+        per pair: the planner only removes work whose answer is already
+        forced, and every remaining task runs through the session's caches
+        exactly as a single query would.
         """
         pairs = list(pairs)
-        effective_workers = self.workers if workers is None else max(1, int(workers))
         plan_started = time.perf_counter()
         # Expressions whose automata are already available — session cache
-        # or store — cost ~nothing, so ordering and chunking see the batch's
-        # residual work, not phantom compilations.  The planner asks only
-        # for the tasks the verdict tiers leave, so only their expressions
-        # are probed.
+        # or store — cost ~nothing, so ordering sees the batch's residual
+        # work, not phantom compilations.  The planner asks only for the
+        # tasks the verdict tiers leave, so only their expressions are
+        # probed.
         cost_estimate = cached_aware_cost_estimate(
             _default_cost_estimate, self._is_compiled
         )
         plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
         plan_seconds = time.perf_counter() - plan_started
+        results = plan.results
         with self._exec_lock:
-            verdicts, report, warmback = execute_tasks(
-                plan,
-                effective_workers,
-                sequential_decide=self._decide_into_caches,
-                pool_provider=self._ensure_pool,
-            )
-        # Merge in task-id order: deterministic cache state regardless of
-        # scheduling (pool workers return verdicts in arbitrary order).
-        # Tasks the pool's in-process fallback decided already went through
-        # _record_verdict — storing them again would double-count
-        # `decisions`.  Tasks a worker answered from the verdict store are
-        # recorded as served, not decided, and are never re-published.
-        publishable: List[Tuple[Expr, Expr, EquivalenceResult]] = []
-        for task in plan.tasks:
-            result = verdicts[task.task_id]
-            if (
-                report.mode != "sequential"
-                and task.task_id not in report.fallback_task_ids
-            ):
-                direct = task.task_id not in report.verdict_store_task_ids
-                self._record_verdict(
-                    task.left, task.right, result, direct=direct, publish=False
-                )
-                if direct:
-                    publishable.append((task.left, task.right, result))
-            for position in task.positions:
-                plan.results[position] = result
-        # Warm-back to the *fleet*: what the workers compiled this batch is
-        # offered to the shared store too (outside the engine lock — this
-        # is disk I/O), each entry at most once — the store's own
-        # existing-entry skip dedupes against other publishers.
-        if self._store is not None and warmback:
-            try:
-                published = self._store.publish_many(warmback)
-            except Exception:
-                with self._lock:
-                    self._store_errors += 1
-            else:
-                with self._lock:
-                    self._store_publishes += published
-        # Freshly decided verdicts join the fleet's verdict store the same
-        # way — at most once each, existing-entry skip deduping the rest.
-        if self._store is not None and publishable:
-            try:
-                published = self._store.publish_verdicts(
-                    (expr_digest(left), expr_digest(right), result)
-                    for left, right, result in publishable
-                )
-            except Exception:
-                with self._lock:
-                    self._store_errors += 1
-            else:
-                with self._lock:
-                    self._verdict_store_publishes += published
+            execute_started = time.perf_counter()
+            for task in plan.tasks:
+                result = self._decide_into_caches(task.left, task.right)
+                for position in task.positions:
+                    results[position] = result
+            execute_seconds = time.perf_counter() - execute_started
         with self._lock:
-            # Warm-back merge: worker-compiled automata join this session's
-            # cache (bounded by the LRU, deduped by interned node) so the
-            # next batch — and save_warm_state — see the parallel batch's
-            # compilations exactly as if the parent had done the work.
-            merged, skipped = self._wfa.merge_items(warmback, skip_existing=True)
-            self._warmback_returned += len(warmback)
-            self._warmback_merged += merged
-            self._warmback_skipped += skipped
-            self._store_worker_hits += report.store_hits
-            self._verdict_worker_store_hits += report.verdict_store_hits
             self._batches += 1
-            self._tasks_executed += report.tasks
-            if report.mode == "sequential":
-                self._sequential_batches += 1
-            else:
-                self._pooled_batches += 1
-            self._worker_restarts += report.restarts
-            self._fallback_tasks += report.fallback_tasks
+            self._tasks_executed += len(plan.tasks)
             self._plan_seconds += plan_seconds
-            self._execute_seconds += report.wall_seconds
+            self._execute_seconds += execute_seconds
             self._accumulate_plan_stats(plan.stats)
             self._last_batch = {
                 "pairs": len(pairs),
                 "planner": plan.stats.as_dict(),
-                "executor": report.as_dict(),
+                "executor": {
+                    "tasks": len(plan.tasks),
+                    "wall_seconds": round(execute_seconds, 6),
+                },
                 "plan_seconds": round(plan_seconds, 6),
             }
-        results = plan.results
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 
-    def equal_many(
-        self,
-        pairs: Iterable[Tuple[Expr, Expr]],
-        workers: Optional[int] = None,
-    ) -> List[bool]:
+    def equal_many(self, pairs: Iterable[Tuple[Expr, Expr]]) -> List[bool]:
         """Batched :meth:`equal`: one bool per pair."""
-        return [
-            result.equal for result in self.equal_many_detailed(pairs, workers=workers)
-        ]
+        return [result.equal for result in self.equal_many_detailed(pairs)]
 
     def _decide_into_caches(self, left: Expr, right: Expr) -> EquivalenceResult:
-        """Sequential task execution path: ride this engine's caches.
+        """Run one planned task on this engine's caches.
 
-        The verdict store is probed here (pool workers probe it too, so
-        sequential and pooled batches see the same store tier); ledger
-        inference is **not** — workers cannot infer, and this path must
-        stay byte-identical to theirs for every worker count.
+        The verdict store is probed here too: a sibling may have published
+        the pair since planning.  Ledger inference is **not**: the planner
+        already consulted it, and inferring from verdicts decided earlier in
+        the same batch would make a task's answer depend on task order.
         """
         served = self._verdict_store_lookup(left, right)
         if served is not None:
@@ -664,98 +565,16 @@ class NKAEngine:
         totals.tasks += stats.tasks
         totals.estimated_cost += stats.estimated_cost
         totals.distinct_expressions += stats.distinct_expressions
-        totals.shared_expression_groups += stats.shared_expression_groups
-        totals.split_groups += stats.split_groups
-        totals.duplicated_expressions += stats.duplicated_expressions
-
-    # -- worker-pool lifecycle ---------------------------------------------
-
-    def _ensure_pool(self, workers: int) -> WorkerPool:
-        """The engine's persistent pool, started/recycled as needed.
-
-        Called by the executor once it has committed to the pool path.
-        The pool is pinned to the pipeline fingerprint it started under;
-        if the fingerprint has changed since (hot code reload, test
-        shims), the stale pool is closed and a fresh one spawned — its
-        workers would otherwise keep serving automata compiled by a
-        pipeline that no longer exists.
-        """
-        current_fingerprint = pipeline_fingerprint()
-        with self._lock:
-            if (
-                self._pool is not None
-                and self._pool.fingerprint != current_fingerprint
-            ):
-                stale, self._pool = self._pool, None
-                self._pool_recycles += 1
-            else:
-                stale = None
-            pool = self._pool
-        if stale is not None:
-            stale.close()
-        if pool is None or pool.closed:
-            # Construct outside the engine lock: pool start-up can take
-            # seconds under `spawn`, and other threads must stay free to
-            # hit the caches meanwhile.  Callers are serialised by
-            # _exec_lock, so no second constructor can race this one.
-            pool = WorkerPool(
-                workers,
-                current_fingerprint,
-                start_method=self._start_method,
-                # Workers bound their compile memos the same way the
-                # parent bounds its WFA cache.
-                memo_capacity=self._wfa.maxsize,
-                # Workers reopen the engine's store read-only: a cold
-                # worker on a second host starts warm from the fleet's
-                # published compilations.
-                store_spec=None if self._store is None else self._store.spec(),
-            )
-            with self._lock:
-                self._pool = pool
-        else:
-            pool.ensure_size(workers)
-        return pool
-
-    def recycle_pool(self) -> None:
-        """Shut the current pool down; the next parallel batch restarts it.
-
-        Used by benchmarks to measure pool start-up cost, and available to
-        serving wrappers that want to rotate workers (e.g. after a memory
-        watermark).  Verdicts are unaffected — only wall-clock changes.
-        """
-        with self._exec_lock:
-            self._recycle_pool_in_exec()
-
-    def _recycle_pool_in_exec(self) -> None:
-        """Detach and reap the pool; assumes ``_exec_lock`` is held.
-
-        Taking ``_exec_lock`` first is what makes close/recycle safe
-        against a batch on another thread: ``_ensure_pool`` constructs the
-        pool *outside* ``_lock`` (start-up can take seconds under spawn)
-        but always under ``_exec_lock`` — a close that only took ``_lock``
-        could run inside that construction window, observe ``_pool is
-        None``, reap nothing, and leak the about-to-be-installed workers.
-        Under ``_exec_lock`` the close instead *waits for the running
-        batch* (or parallel compile) to finish, then reaps whatever pool
-        it installed.  ``WorkerPool.close`` is itself idempotent, so
-        concurrent closers queue up harmlessly.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
 
     def close(self) -> None:
-        """Release this session's process resources (idempotent).
+        """Wait for this session's in-flight batch (idempotent).
 
-        Blocks until any in-flight batch on another thread completes, then
-        joins and reaps every pool worker, leaving no child processes
-        behind.  The engine itself stays usable — caches survive, and a
-        later parallel batch simply starts a fresh pool — so ``close`` is
-        safe to call eagerly whenever parallel work pauses.
+        Batches run in process, so there is nothing to release: ``close``
+        only waits for a batch running on another thread.  The engine stays
+        usable afterwards, caches included.
         """
         with self._exec_lock:
-            self._recycle_pool_in_exec()
+            pass
 
     def __enter__(self) -> "NKAEngine":
         return self
@@ -763,21 +582,11 @@ class NKAEngine:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def pool_stats(self) -> Optional[Dict[str, object]]:
-        """Live pool topology (``None`` before the first parallel batch)."""
-        with self._lock:
-            return None if self._pool is None else self._pool.stats()
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of live pool workers (empty when no pool is running)."""
-        with self._lock:
-            return [] if self._pool is None else self._pool.worker_pids()
-
     # -- auxiliary queries -------------------------------------------------
 
     def has_wfa(self, expr: Expr) -> bool:
         """Whether ``expr``'s automaton is in the session cache (no recency
-        effect, no compile) — warm-back observability for tests/tools."""
+        effect, no compile) — cache observability for tests/tools."""
         with self._lock:
             return expr in self._wfa
 
@@ -840,10 +649,9 @@ class NKAEngine:
         self,
         wfa_capacity: Optional[int] = None,
         result_capacity: Optional[int] = None,
-        workers: Optional[int] = None,
         infer_verdicts=_UNSET,
     ) -> None:
-        """Resize caches (shrinking evicts LRU entries) / set default workers.
+        """Resize caches (shrinking evicts LRU entries).
 
         ``infer_verdicts`` toggles the ledger's transitive-inference tier
         mid-session; verdicts recorded while it was off are already in the
@@ -854,8 +662,6 @@ class NKAEngine:
                 self._wfa.resize(wfa_capacity)
             if result_capacity is not None:
                 self._results.resize(result_capacity)
-            if workers is not None:
-                self.workers = max(1, int(workers))
             if infer_verdicts is not _UNSET:
                 self._infer_verdicts = bool(infer_verdicts)
 
@@ -875,11 +681,8 @@ class NKAEngine:
         ``caches`` are this session's LRU counters; ``planner`` aggregates
         dedupe counters over all batches (``dedupe_ratio`` = fraction of
         batch positions answered without a fresh automaton-level task);
-        ``executor`` accumulates *lifetime* totals — batches by mode, tasks
-        executed, worker restarts, pool recycles — so long-lived serving
-        metrics never reset per batch (the old report only carried the
-        last batch's executor timings); ``warm_back`` counts worker
-        compilations returned/merged into this session's cache;
+        ``executor`` accumulates *lifetime* totals — batches and tasks
+        executed — so long-lived serving metrics never reset per batch;
         ``timings`` separate planning from execution; ``last_batch`` keeps
         the most recent batch's full breakdown for live dashboards.
         """
@@ -898,11 +701,9 @@ class NKAEngine:
                 else {
                     **self._store.stats(),
                     # This engine's slice of the shared counters: compiles
-                    # it avoided (parent-side), entries it contributed, and
-                    # compiles its pool workers avoided.
+                    # it avoided and entries it contributed.
                     "parent_hits": self._store_hits,
                     "parent_publishes": self._store_publishes,
-                    "worker_hits": self._store_worker_hits,
                     "errors": self._store_errors,
                 },
                 "verdicts": {
@@ -912,7 +713,6 @@ class NKAEngine:
                     "inferred_equal": self._verdicts_inferred_equal,
                     "inferred_refuted": self._verdicts_inferred_refuted,
                     "store_hits": self._verdict_store_hits,
-                    "worker_store_hits": self._verdict_worker_store_hits,
                     "published": self._verdict_store_publishes,
                     **self._ledger.stats(),
                 },
@@ -922,21 +722,10 @@ class NKAEngine:
                     "classes_loaded": self._warm_classes,
                     "refutations_loaded": self._warm_refutations,
                 },
-                "warm_back": {
-                    "returned": self._warmback_returned,
-                    "merged": self._warmback_merged,
-                    "skipped": self._warmback_skipped,
-                },
                 "planner": self._plan_totals.as_dict(),
                 "executor": {
                     "batches": self._batches,
-                    "sequential_batches": self._sequential_batches,
-                    "pooled_batches": self._pooled_batches,
                     "tasks_executed": self._tasks_executed,
-                    "worker_restarts": self._worker_restarts,
-                    "pool_recycles": self._pool_recycles,
-                    "fallback_tasks": self._fallback_tasks,
-                    "pool": None if self._pool is None else self._pool.stats(),
                 },
                 "timings": {
                     "plan_seconds": round(self._plan_seconds, 6),
@@ -975,10 +764,6 @@ class NKAEngine:
                 "verdict_entries": len(verdicts),
                 "equivalence_classes": len(classes),
                 "refutation_entries": len(refutations),
-                # Provenance: how much of the compile cache arrived over the
-                # pool's warm-back channel rather than parent compilation —
-                # a parallel warm-up persists its workers' compilations too.
-                "warmback_merged": self._warmback_merged,
                 "parent_compilations": self._compilations,
             },
         )
@@ -1035,7 +820,7 @@ class NKAEngine:
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
             f"NKAEngine({self.name!r}, wfa={len(self._wfa)}, "
-            f"results={len(self._results)}, workers={self.workers})"
+            f"results={len(self._results)})"
         )
 
 

@@ -118,10 +118,10 @@ def pipeline_fingerprint() -> str:
     interpreter in any way that matters to already-imported code).
 
     The module list is deliberately **planner-independent**:
-    ``repro.engine.planner`` (and the executor/pool around it) only decide
-    *which process compiles what in which order* — never the bytes of a
-    compiled automaton or a verdict — so reordering or rechunking logic
-    must not invalidate every persisted artefact in the fleet.  Only
+    ``repro.engine.planner`` (and the engine's batch loop around it) only
+    decide *what is compiled in which order* — never the bytes of a
+    compiled automaton or a verdict — so reordering logic must not
+    invalidate every persisted artefact in the fleet.  Only
     modules whose source determines artefact *meaning* (interning, the
     position-automaton construction, Tzeng, the semiring linear algebra)
     participate; ``tests/test_compile_store.py`` pins the exact list.
@@ -309,10 +309,9 @@ def describe_warm_state(path: str) -> Dict[str, Any]:
     """Inspect a warm-state file without loading it into an engine.
 
     Returns fingerprint (+ whether it matches this process), entry counts,
-    creation time, file size, and the saving engine's meta — which, since
-    the pool's warm-back channel, records how much of the compile cache
-    came from pool workers (``warmback_merged``) versus the parent
-    (``parent_compilations``).  For ops tooling: a serving wrapper can
+    creation time, file size, and the saving engine's meta (entry counts
+    and how many automata the saving engine compiled itself,
+    ``parent_compilations``).  For ops tooling: a serving wrapper can
     decide whether a state is worth shipping to a replica before paying
     the full load.  Raises :class:`WarmStateError` for unreadable files
     but does *not* reject stale fingerprints — staleness is part of the

@@ -229,8 +229,8 @@ class CompileStore:
 
     def spec(self) -> Dict[str, Any]:
         """A picklable description from which any process (fork *or* spawn)
-        reopens an equivalent handle — what the engine ships to pool
-        workers instead of the handle itself."""
+        reopens an equivalent handle — what to hand a child process instead
+        of the handle itself."""
         return {
             "root": self.root,
             "max_bytes": self.max_bytes,
@@ -442,7 +442,7 @@ class CompileStore:
         return True
 
     def publish_many(self, items: Iterable[Tuple[Expr, WFA]]) -> int:
-        """Publish a batch (e.g. a warm-back merge); returns entries written."""
+        """Publish a batch of compiled automata; returns entries written."""
         return sum(1 for expr, wfa in items if self.publish(expr, wfa))
 
     # -- verdict entries ------------------------------------------------------

@@ -98,22 +98,20 @@ def verify_algebraic_equivalence_many(
     program_pairs: Sequence[Sequence[Program]],
     setting: EncoderSetting,
     engine: Optional[NKAEngine] = None,
-    workers: Optional[int] = None,
 ) -> list:
     """Batched :func:`verify_algebraic_equivalence` over one encoder setting.
 
     Encodes every pair first (encodings share the setting's symbol table,
     so common sub-programs intern to the same nodes), then hands the whole
-    batch to the engine's planner: duplicate and symmetric pairs collapse,
-    each distinct encoding compiles once, and ``workers > 1`` fans the
-    independent queries out to process workers.
+    batch to the engine's planner: duplicate and symmetric pairs collapse
+    and each distinct encoding compiles once.
     """
     session = engine if engine is not None else default_engine()
     encoded = [
         (encode(left, setting), encode(right, setting))
         for left, right in program_pairs
     ]
-    outcomes = session.equal_many_detailed(encoded, workers=workers)
+    outcomes = session.equal_many_detailed(encoded)
     return [
         EquivalenceReport(equal=outcome.equal, method="algebraic", detail=outcome.reason)
         for outcome in outcomes

@@ -15,7 +15,7 @@ Quick start::
     from repro.serving import NKAService, ServingHTTPServer, TenantConfig
 
     async def main():
-        async with NKAService([TenantConfig("team-a", workers=2)]) as svc:
+        async with NKAService([TenantConfig("team-a", max_batch=32)]) as svc:
             result = await svc.equal_detailed(
                 "team-a", parse("(a b)* a"), parse("a (b a)*")
             )

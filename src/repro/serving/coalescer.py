@@ -1,8 +1,8 @@
 """Batch coalescing: turn concurrent ``equal?`` requests into one plan.
 
 The engine's batch planner only pays off when it sees many pairs at once —
-dedupe, symmetric flips, shared-subexpression groups and the verdict tier
-all work *across* the pairs of one :meth:`NKAEngine.equal_many_detailed`
+dedupe, symmetric flips, shared compilations and the verdict tier all
+work *across* the pairs of one :meth:`NKAEngine.equal_many_detailed`
 call.  A serving front-end that forwarded each request individually would
 hold the planner at batch size 1 forever.  The coalescer closes that gap:
 requests landing on a tenant's queue within a short window (or until the

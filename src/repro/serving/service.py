@@ -11,13 +11,13 @@ caller) and per-tenant :class:`~repro.engine.NKAEngine` sessions:
 * **coalescing** — each tenant has one drain task that collects requests
   arriving within ``coalesce_window`` seconds (up to ``max_batch``) into a
   single planned :meth:`~repro.engine.NKAEngine.equal_many_detailed`
-  batch (:mod:`repro.serving.coalescer`), so the planner's dedupe/sharing
-  groups and the verdict tier work *across* concurrent requests.
+  batch (:mod:`repro.serving.coalescer`), so the planner's dedupe and the
+  verdict tier work *across* concurrent requests.
 * **execution** — batches run on a thread-pool executor so the event loop
   never blocks on engine work.  See `Locking discipline`_ below.
 * **lifecycle** — ``close()`` drains gracefully: every request admitted
-  before close is served, then every tenant engine is closed (pool
-  workers joined and reaped — no child processes outlive the service).
+  before close is served, then every tenant engine is closed (which waits
+  for its in-flight batch).  The service starts no child processes.
 * **observability** — :meth:`stats` merges each engine's ``stats()`` with
   the serving-side numbers it cannot know: queue depth, coalesce ratio,
   admission counters and p50/p95/p99 request latency.
@@ -41,8 +41,8 @@ first; these are the rules that make the combination safe, in one place:
   it, and batch completion decrements it from a loop callback, never from
   the executor thread — so it needs no lock at all.
 * **Engine calls off the loop.**  ``equal_many_detailed`` and
-  ``engine.close()`` block (seconds, under spawn); they always run on the
-  executor, never on the loop thread.  ``engine.stats()`` snapshots under
+  ``engine.close()`` block (``close`` for as long as an in-flight batch
+  runs); they always run on the executor, never on the loop thread.  ``engine.stats()`` snapshots under
   the engine's own locks (made safe for exactly this in this PR) and is
   cheap enough to call from the loop directly.
 * **Never hold a serving lock across an engine call.**  Serving metrics
@@ -58,7 +58,17 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.automata.equivalence import EquivalenceResult
 from repro.core.expr import Expr
@@ -116,15 +126,15 @@ class TenantConfig:
     """
 
     name: str
+    workers: ClassVar[int] = 1  # read only by nkabench; goes with its next change
+
     max_queue: int = 256
     max_batch: int = 64
     coalesce_window: float = 0.002
-    workers: int = 1
     wfa_capacity: int = 4096
     result_capacity: int = 8192
     store: Union[None, bool, str, Any] = False
     infer_verdicts: Optional[bool] = None
-    start_method: Optional[str] = None
     warm_state: Optional[str] = None
 
     def make_engine(self) -> NKAEngine:
@@ -132,8 +142,6 @@ class TenantConfig:
             f"serving[{self.name}]",
             wfa_capacity=self.wfa_capacity,
             result_capacity=self.result_capacity,
-            workers=self.workers,
-            start_method=self.start_method,
             warm_state=self.warm_state,
             # Serving survives a stale warm snapshot by starting cold; a
             # hard failure at tenant-boot time helps nobody at 3am.
@@ -232,9 +240,7 @@ class NKAService:
 
         Idempotent and concurrency-safe — every caller awaits the one
         close pass.  After it returns, each tenant engine has been
-        ``close()``d (which itself waits for any in-flight batch, then
-        joins and reaps all pool workers), so no child processes survive
-        the service.
+        ``close()``d, which waits for any in-flight batch.
         """
         if not self._started:
             self._closed = True

@@ -200,12 +200,6 @@ class LRUCache:
         locally cached WFA whose on-disk entry was just evicted."""
         return self._data.pop(key, default)
 
-    def __setitem__(self, key: Hashable, value: Any) -> None:
-        """Dict-style insert, so an :class:`LRUCache` satisfies the mapping
-        protocol of memo consumers like ``decide_pure`` (pool workers use a
-        bounded LRU where an unbounded ``dict`` would grow forever)."""
-        self.put(key, value)
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -219,26 +213,6 @@ class LRUCache:
         ``put`` on a fresh cache reproduces this cache's eviction order.
         """
         return list(self._data.items())
-
-    def merge_items(self, items, skip_existing: bool = True):
-        """Bulk-insert ``(key, value)`` pairs; returns ``(merged, skipped)``.
-
-        The engine's warm-back merge: worker-compiled entries flow in
-        deduped against what the cache already holds — with
-        ``skip_existing`` (the default) a present key is left untouched,
-        *including its recency*, so absorbing a batch of warm-back entries
-        cannot evict the parent's hottest entries in favour of twins it
-        already had.  Insertion stays bounded by ``maxsize`` through the
-        normal ``put`` eviction path.
-        """
-        merged = skipped = 0
-        for key, value in items:
-            if skip_existing and key in self._data:
-                skipped += 1
-                continue
-            self.put(key, value)
-            merged += 1
-        return merged, skipped
 
     # -- management -----------------------------------------------------------
 

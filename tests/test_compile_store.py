@@ -12,19 +12,21 @@ Five surfaces:
   module list itself is pinned;
 * **engine wiring** — ``NKAEngine(store=...)`` / ``REPRO_COMPILE_STORE``
   serve compiles from the store (zero parent compilations on a warm
-  store), publish fresh ones, surface a ``store`` stats section, and ship
-  the store to pool workers;
+  store), publish fresh ones, and surface a ``store`` stats section;
 * **concurrency** — N processes publishing and reading the same digests
   concurrently, and a publisher SIGKILLed mid-stream, must leave no
   visible torn entry (every survivor loads cleanly, temp debris stays
   invisible and is gc-collected);
 * **ops CLI** — ``python -m repro.engine.store describe|gc``.
 
-The multiprocess tests honour ``REPRO_ENGINE_START_METHOD``, so the CI
-matrix exercises them under both ``fork`` and ``spawn``.
+The multiprocess tests run under both the ``fork`` and the ``spawn``
+start method: fork inherits the parent's interned nodes and memos, spawn
+re-imports and re-interns everything, and the store must hold up either
+way.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -39,7 +41,6 @@ from gen import random_pairs
 from repro.core.expr import Star, product_of, sum_of, sym
 from repro.engine import NKAEngine, WarmStateError, pipeline_fingerprint
 from repro.engine import persist
-from repro.engine.pool import pool_context
 from repro.engine.store import (
     STORE_FORMAT,
     CompileStore,
@@ -419,7 +420,7 @@ class TestEngineWiring:
         root = str(tmp_path)
         pairs = random_pairs(seed=901, count=30, depth=3, equal_fraction=0.2)
         with NKAEngine("store-pub", store=root) as publisher:
-            baseline = publisher.equal_many_detailed(pairs, workers=1)
+            baseline = publisher.equal_many_detailed(pairs)
             published = publisher.stats()["store"]["parent_publishes"]
             assert published > 0
             assert published == publisher.compilations
@@ -427,7 +428,7 @@ class TestEngineWiring:
             # The identical batch is answered entirely from the *verdict*
             # store at plan time: zero compiles, zero decisions, not even
             # a WFA read.
-            verdicts = served.equal_many_detailed(pairs, workers=1)
+            verdicts = served.equal_many_detailed(pairs)
             assert served.compilations == 0
             assert served.stats()["decisions"] == 0
             assert served.stats()["verdicts"]["store_hits"] == len(
@@ -442,7 +443,7 @@ class TestEngineWiring:
                 {l for l, r in pairs if l is not r}, key=str
             )
             recombined = [(lefts[i], lefts[-1 - i]) for i in range(len(lefts) // 2)]
-            served.equal_many_detailed(recombined, workers=1)
+            served.equal_many_detailed(recombined)
             assert served.compilations == 0
             assert served.stats()["store"]["parent_hits"] > 0
         assert pickle.dumps(baseline) == pickle.dumps(verdicts)
@@ -458,7 +459,7 @@ class TestEngineWiring:
             if left is not right
         ]
         with NKAEngine("probe-pub", store=root) as publisher:
-            publisher.equal_many_detailed(known, workers=1)
+            publisher.equal_many_detailed(known)
         novel = (sym("probe_novel_l"), Star(sym("probe_novel_r")))
         batch = known + [novel]
 
@@ -472,7 +473,7 @@ class TestEngineWiring:
 
         monkeypatch.setattr(CompileStore, "contains_digests", counting)
         with NKAEngine("probe-replica", store=root) as replica:
-            verdicts = replica.equal_many_detailed(batch, workers=1)
+            verdicts = replica.equal_many_detailed(batch)
         assert len(probed) <= 2
         assert set(probed) <= {persist.expr_digest(expr) for expr in novel}
 
@@ -495,7 +496,7 @@ class TestEngineWiring:
             section = engine.stats()["store"]
         for key in (
             "hits", "misses", "publishes", "evictions", "corrupt_skipped",
-            "bytes", "parent_hits", "parent_publishes", "worker_hits",
+            "bytes", "parent_hits", "parent_publishes",
         ):
             assert key in section, key
         assert section["parent_publishes"] == 2
@@ -504,51 +505,22 @@ class TestEngineWiring:
         storeless = NKAEngine("store-none", store=False)
         assert storeless.stats()["store"] is None
 
-    def test_pool_workers_read_store_directly(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
-        root = str(tmp_path)
-        pairs = random_pairs(seed=902, count=40, depth=3, equal_fraction=0.2)
-        with NKAEngine("store-pool-pub", store=root) as publisher:
-            publisher.equal_many_detailed(pairs, workers=1)
-        # Recombined pairs: every expression is in the store, no *pair* is
-        # — the verdict tier misses, so a real pooled batch runs and the
-        # workers' compilations are served off the shared store (a cold
-        # worker on a second host starts warm).
-        exprs = sorted({e for pair in pairs for e in pair}, key=str)
-        recombined = [
-            (exprs[i], exprs[-1 - i]) for i in range(len(exprs) // 2)
-        ]
-        reference = NKAEngine("store-pool-ref").equal_many_detailed(
-            recombined, workers=1
-        )
-        with NKAEngine("store-pool-sub", store=root, workers=2) as engine:
-            verdicts = engine.equal_many_detailed(recombined, workers=2)
-            stats = engine.stats()
-            assert stats["last_batch"]["executor"]["mode"] == "pool"
-            assert stats["store"]["worker_hits"] > 0
-            assert engine.compilations == 0
-            assert stats["executor"]["pool"]["store"] == engine.store.root
-        assert pickle.dumps(reference) == pickle.dumps(verdicts)
-
-    def test_warmback_publishes_to_fleet(self, tmp_path, monkeypatch):
-        """A parallel batch on a *store-backed* engine leaves the store
-        populated: the pool's warm-back channel reaches the fleet."""
-        monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
+    def test_warmback_publishes_to_fleet(self, tmp_path):
+        """A batch on a *store-backed* engine leaves the store populated:
+        a second engine answers the same batch without compiling."""
         root = str(tmp_path)
         pairs = random_pairs(seed=903, count=40, depth=3, equal_fraction=0.2)
-        with NKAEngine("fleet-pub", store=root, workers=2) as engine:
-            engine.equal_many_detailed(pairs, workers=2)
-            stats = engine.stats()
-            assert stats["last_batch"]["executor"]["mode"] == "pool"
-            assert stats["store"]["parent_publishes"] > 0
+        with NKAEngine("fleet-pub", store=root) as engine:
+            engine.equal_many_detailed(pairs)
+            assert engine.stats()["store"]["parent_publishes"] > 0
         with NKAEngine("fleet-sub", store=root) as served:
-            served.equal_many_detailed(pairs, workers=1)
+            served.equal_many_detailed(pairs)
             assert served.compilations == 0
 
 # -- multiprocess stress --------------------------------------------------------
 #
 # Child entry points live at module level so they pickle under spawn; each
-# re-opens the store from its spec (exactly what pool workers do).
+# re-opens the store from its spec.
 
 
 def _stress_child(spec, rounds, barrier, results):
@@ -585,12 +557,16 @@ def _kill_victim_child(spec, ready):
             ready.set()  # enough traffic in flight: parent may now shoot
 
 
+START_METHODS = pytest.mark.parametrize("start_method", ["fork", "spawn"])
+
+
 class TestConcurrentAccess:
-    def test_concurrent_writers_and_readers(self, tmp_path):
+    @START_METHODS
+    def test_concurrent_writers_and_readers(self, tmp_path, start_method):
         """N processes hammering the same digests: no torn entry ever
         serves, every verdict-relevant read is either a clean WFA or a
         clean miss, and the store ends exactly one entry per digest."""
-        ctx = pool_context()  # honours REPRO_ENGINE_START_METHOD
+        ctx = multiprocessing.get_context(start_method)
         spec = CompileStore(str(tmp_path)).spec()
         workers = 4
         barrier = ctx.Barrier(workers)
@@ -617,8 +593,9 @@ class TestConcurrentAccess:
             assert checker.get(expr) is not None
         assert checker.stats()["corrupt_skipped"] == 0
 
-    def test_sigkill_mid_publish_leaves_no_torn_entry(self, tmp_path):
-        ctx = pool_context()
+    @START_METHODS
+    def test_sigkill_mid_publish_leaves_no_torn_entry(self, tmp_path, start_method):
+        ctx = multiprocessing.get_context(start_method)
         spec = CompileStore(str(tmp_path)).spec()
         ready = ctx.Event()
         victim = ctx.Process(target=_kill_victim_child, args=(spec, ready))

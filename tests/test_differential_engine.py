@@ -1,23 +1,21 @@
-"""Differential oracle: three engine configurations must agree byte-for-byte.
+"""Differential oracle: engine configurations must agree byte-for-byte.
 
 Kappé–Silva–Wagemaker's survey point, operationalised: a decision-procedure
 implementation is only trustworthy if every execution strategy conforms to
 the same algebraic semantics.  This suite pins the conformance surface: a
 seeded 203-pair corpus is decided by
 
-(a) the **pooled parallel** engine (persistent workers, warm-back channel,
-    steal-aware chunks),
-(b) the **sequential** engine (the planner's in-process path),
-(c) a **fresh no-cache** oracle (caches wiped before every single pair, so
+(a) the **sequential** engine (one planned batch on the engine's caches),
+(b) a **fresh no-cache** oracle (caches wiped before every single pair, so
     no state whatsoever carries between queries), and
-(d) a **store-served** engine (``store=``) answering entirely out of a
+(c) a **store-served** engine (``store=``) answering entirely out of a
     :class:`~repro.engine.store.CompileStore` another engine populated —
     zero parent compilations, every automaton deserialized from disk,
 
 and all of them must produce *identical* verdicts — including the
 counterexample word and the deciding reason, compared byte-for-byte on the
-pickled results.  Any divergence means scheduling, caching or the
-warm-back merge leaked into the answers, which the algebra forbids.
+pickled results.  Any divergence means planning, caching or the store
+leaked into the answers, which the algebra forbids.
 
 Agreement between configurations cannot catch a bug they all share, so
 the sequential verdicts are also checked against the truncated power
@@ -88,35 +86,15 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def pooled_verdicts(corpus):
-    """(a) Persistent pool, forced onto the process path on any machine."""
-    import os
-
-    previous = os.environ.get("REPRO_ENGINE_OVERSUBSCRIBE")
-    os.environ["REPRO_ENGINE_OVERSUBSCRIBE"] = "1"
-    try:
-        with NKAEngine("diff-pooled", workers=2) as engine:
-            verdicts = engine.equal_many_detailed(corpus, workers=2)
-            mode = engine.stats()["last_batch"]["executor"]["mode"]
-        assert mode == "pool", f"pool path did not engage: {mode}"
-        return verdicts
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_ENGINE_OVERSUBSCRIBE", None)
-        else:
-            os.environ["REPRO_ENGINE_OVERSUBSCRIBE"] = previous
-
-
-@pytest.fixture(scope="module")
 def sequential_verdicts(corpus):
-    """(b) The default in-process engine, one batch, worker count 1."""
-    engine = NKAEngine("diff-sequential", workers=1)
-    return engine.equal_many_detailed(corpus, workers=1)
+    """(a) The default engine, one batch."""
+    engine = NKAEngine("diff-sequential")
+    return engine.equal_many_detailed(corpus)
 
 
 @pytest.fixture(scope="module")
 def nocache_verdicts(corpus):
-    """(c) The oracle: caches wiped before every pair — no carried state."""
+    """(b) The oracle: caches wiped before every pair — no carried state."""
     engine = NKAEngine("diff-nocache")
     verdicts = []
     for left, right in corpus:
@@ -127,15 +105,15 @@ def nocache_verdicts(corpus):
 
 @pytest.fixture(scope="module")
 def store_served_verdicts(corpus, tmp_path_factory):
-    """(d) The shared compile store: a publisher engine fills a store, a
+    """(c) The shared compile store: a publisher engine fills a store, a
     *fresh* engine answers the whole corpus from it with zero parent
     compilations — the fleet-warm path of :mod:`repro.engine.store`."""
     root = str(tmp_path_factory.mktemp("diff-store"))
     with NKAEngine("diff-store-pub", store=root) as publisher:
-        publisher.equal_many_detailed(corpus, workers=1)
+        publisher.equal_many_detailed(corpus)
         assert publisher.stats()["store"]["publishes"] > 0
     with NKAEngine("diff-store-sub", store=root) as served:
-        verdicts = served.equal_many_detailed(corpus, workers=1)
+        verdicts = served.equal_many_detailed(corpus)
         assert served.compilations == 0, (
             f"{served.compilations} compilations despite a populated store"
         )
@@ -195,7 +173,7 @@ def chain():
 
 
 def test_inferred_verdicts_byte_identical_modulo_reason(corpus, chain):
-    """(e) The inference tier: ``infer_verdicts=True`` over the corpus plus
+    """(d) The inference tier: ``infer_verdicts=True`` over the corpus plus
     seeded transitive chains.  The seeding batch decides corpus + adjacent
     chain pairs; the closure batch is then answered *entirely* by the
     union–find — zero decisions, zero compilations — and every verdict
@@ -204,18 +182,18 @@ def test_inferred_verdicts_byte_identical_modulo_reason(corpus, chain):
     re-verified against both series."""
     adjacent, closure = chain
     inferring = NKAEngine("diff-infer", infer_verdicts=True)
-    inferring.equal_many_detailed(corpus + adjacent, workers=1)
+    inferring.equal_many_detailed(corpus + adjacent)
     decided = inferring.stats()["decisions"]
     compiled = inferring.compilations
-    inferred = inferring.equal_many_detailed(closure, workers=1)
+    inferred = inferring.equal_many_detailed(closure)
     assert inferring.stats()["decisions"] == decided, "closure ran Tzeng"
     assert inferring.compilations == compiled, "closure compiled something"
     stats = inferring.stats()["verdicts"]
     assert stats["inferred_equal"] > 0 and stats["inferred_refuted"] > 0
 
     oracle = NKAEngine("diff-infer-oracle", infer_verdicts=False)
-    oracle.equal_many_detailed(corpus + adjacent, workers=1)
-    direct = oracle.equal_many_detailed(closure, workers=1)
+    oracle.equal_many_detailed(corpus + adjacent)
+    direct = oracle.equal_many_detailed(closure)
 
     for index, (fast, slow) in enumerate(zip(inferred, direct)):
         assert fast.equal == slow.equal, f"closure pair #{index}"
@@ -301,16 +279,6 @@ def test_corpus_is_the_mandated_200_pairs(corpus):
     assert len(corpus) == CORPUS_SIZE
 
 
-def test_pooled_equals_sequential_bytewise(pooled_verdicts, sequential_verdicts):
-    assert len(pooled_verdicts) == CORPUS_SIZE
-    for index, (pooled, sequential) in enumerate(
-        zip(pooled_verdicts, sequential_verdicts)
-    ):
-        assert pickle.dumps(pooled) == pickle.dumps(sequential), (
-            f"pair #{index}: pooled {pooled} != sequential {sequential}"
-        )
-
-
 def test_sequential_equals_nocache_bytewise(sequential_verdicts, nocache_verdicts):
     for index, (sequential, oracle) in enumerate(
         zip(sequential_verdicts, nocache_verdicts)
@@ -335,17 +303,18 @@ def test_store_served_equals_sequential_bytewise(
 
 
 def test_counterexample_words_identical_across_configs(
-    pooled_verdicts, sequential_verdicts, nocache_verdicts
+    store_served_verdicts, sequential_verdicts, nocache_verdicts
 ):
     """The refuting word — not just the boolean — must be config-independent."""
+    assert len(sequential_verdicts) == CORPUS_SIZE
     refuted = 0
-    for pooled, sequential, oracle in zip(
-        pooled_verdicts, sequential_verdicts, nocache_verdicts
+    for served, sequential, oracle in zip(
+        store_served_verdicts, sequential_verdicts, nocache_verdicts
     ):
-        assert pooled.counterexample == sequential.counterexample == oracle.counterexample
-        if not pooled.equal:
+        assert served.counterexample == sequential.counterexample == oracle.counterexample
+        if not sequential.equal:
             refuted += 1
-            assert pooled.counterexample is not None
+            assert sequential.counterexample is not None
     # The corpus must actually exercise the counterexample machinery.
     assert refuted > CORPUS_SIZE // 4, f"only {refuted} refutations in corpus"
 

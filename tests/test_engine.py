@@ -1,11 +1,13 @@
-"""Engine-subsystem semantics: isolation, planning, parallelism, warm start.
+"""Engine-subsystem semantics: isolation, planning, batches, warm start.
 
 The contracts pinned here are the ones serving depends on:
 
 * two engines in one process never share verdicts (session isolation);
 * the batch planner's dedupe/short-circuit/ordering gives verdicts
-  byte-identical to the one-at-a-time sequential path, at every worker
-  count (property test over the shared expression generator);
+  byte-identical to the one-at-a-time sequential path (property test over
+  the shared expression generator);
+* a batch leaves its compilations in the engine's own cache, so follow-up
+  batches and saved warm state reuse them;
 * warm state round-trips — including into a *fresh process* — and answers
   a known batch with zero compilations; stale-fingerprint state is
   rejected cleanly;
@@ -98,12 +100,6 @@ class TestPlanner:
         costs = [task.cost for task in plan.tasks]
         assert costs == sorted(costs)
 
-    def test_sharing_groups_connect_common_expressions(self):
-        a, b, c, d = parse("a a"), parse("b b"), parse("c c"), parse("d d")
-        plan = plan_batch([(a, b), (b, c), (d, parse("e"))], lambda l, r: None)
-        sizes = sorted(len(group) for group in plan.groups)
-        assert sizes == [1, 2]  # (a,b)+(b,c) share b; (d,e) alone
-
     def test_cached_verdicts_short_circuit(self):
         a, b = parse("a"), parse("b")
         sentinel = EquivalenceResult(equal=False, counterexample=("a",), reason="x")
@@ -111,69 +107,15 @@ class TestPlanner:
         assert plan.tasks == []
         assert plan.results == [sentinel]
 
-    def test_monolithic_group_splits_into_subchunks(self):
-        """One giant sharing group must not serialise the whole pool."""
-        from repro.engine.planner import chunk_tasks
-
-        # Every pair shares the hub expression → a single sharing group.
-        hub = parse("(a b)* (b a)*")
-        pairs = [
-            (hub, product_of([Symbol("a")] * (index + 1)))
-            for index in range(24)
-        ]
-        plan = plan_batch(pairs, lambda left, right: None)
-        assert len(plan.groups) == 1 and len(plan.groups[0]) == 24
-        chunks = chunk_tasks(plan, workers=4)
-        assert len(chunks) > 1, "monolithic group was not split"
-        assert plan.stats.split_groups == 1
-        # The hub appears in every sub-chunk, so it is counted duplicated.
-        assert plan.stats.duplicated_expressions >= 1
-        # Splitting reorders nothing and loses nothing: the chunks
-        # partition the task set in task-id order.
-        flattened = [task.task_id for chunk in chunks for task in chunk]
-        assert flattened == sorted(task.task_id for task in plan.tasks)
-        assert plan.stats.as_dict()["split_groups"] == 1
-
-    def test_small_groups_stay_whole(self):
-        """Sub-budget sharing groups keep the seed coalescing behaviour."""
-        from repro.engine.planner import chunk_tasks
-
-        pairs = [
-            (parse(f"{left} {left}"), parse(f"{left} {left} {left}"))
-            for left in ("a", "b", "c", "d", "e", "f")
-        ]
-        plan = plan_batch(pairs, lambda left, right: None)
-        assert len(plan.groups) == len(pairs)  # nothing shared
-        chunks = chunk_tasks(plan, workers=2)
-        assert plan.stats.split_groups == 0
-        assert plan.stats.duplicated_expressions == 0
-        chunk_of = {}
-        for chunk_index, chunk in enumerate(chunks):
-            for task in chunk:
-                chunk_of[task.task_id] = chunk_index
-        for group in plan.groups:
-            assert len({chunk_of[task_id] for task_id in group}) == 1, (
-                "a sub-budget sharing group was torn across chunks"
-            )
-
 
 class TestBatchSemantics:
-    def test_batch_verdicts_byte_identical_to_sequential(self, monkeypatch):
-        """Planner dedupe + any worker count ≡ the one-at-a-time path."""
-        # Lift the core-count cap so the process path runs even on 1-CPU
-        # machines — this test is about semantics, not throughput.
-        monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
+    def test_batch_verdicts_byte_identical_to_sequential(self):
+        """Planner dedupe + the batch loop ≡ the one-at-a-time path."""
         pairs = _fresh_pairs()
         sequential_engine = NKAEngine("seq-ref")
         sequential = [sequential_engine.equal_detailed(l, r) for l, r in pairs]
-        for workers in (1, 2, 4):
-            engine = NKAEngine(f"batch-{workers}")
-            batched = engine.equal_many_detailed(pairs, workers=workers)
-            assert batched == sequential, f"diverged at workers={workers}"
-            if workers > 1:
-                executor = engine.stats()["last_batch"]["executor"]
-                assert executor["mode"] == "pool", executor
-            engine.close()
+        batched = NKAEngine("batch").equal_many_detailed(pairs)
+        assert batched == sequential
 
     def test_facade_batch_matches_facade_single(self):
         from repro.core.decision import (
@@ -227,87 +169,68 @@ class TestBatchSemantics:
 
 
 class TestWarmBack:
-    """Worker compilations must flow back into the parent's WFA cache."""
+    """A batch's compilations stay in the engine's own cache.
 
-    def _pooled_engine_after_batch(self, monkeypatch, pairs):
-        monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
-        engine = NKAEngine("warmback", workers=2)
-        engine.equal_many_detailed(pairs, workers=2)
-        assert engine.stats()["last_batch"]["executor"]["mode"] == "pool"
+    The class and test names predate the in-process batch path (they
+    named the worker pool's warm-back channel); they are kept so the
+    test ids stay stable.
+    """
+
+    def _engine_after_batch(self, pairs):
+        engine = NKAEngine("warmback")
+        engine.equal_many_detailed(pairs)
         return engine
 
-    def test_parallel_batch_fills_parent_wfa_cache(self, monkeypatch):
-        pairs = _fresh_pairs(seed=211, count=40)
-        engine = self._pooled_engine_after_batch(monkeypatch, pairs)
-        try:
-            # Every distinct expression the planner turned into a task must
-            # now be in the parent's compile cache — without the parent
-            # having compiled anything itself.
-            plan = plan_batch(pairs, lambda left, right: None)
-            for task in plan.tasks:
-                assert engine.has_wfa(task.left), task.left
-                assert engine.has_wfa(task.right), task.right
-            stats = engine.stats()
-            assert stats["compilations"] == 0, "parent must not compile"
-            assert stats["warm_back"]["merged"] == stats["planner"][
-                "distinct_expressions"
-            ]
-            assert stats["warm_back"]["returned"] >= stats["warm_back"]["merged"]
-            # Each task's verdict is stored exactly once (no double count
-            # between the pool merge and any fallback path).
-            assert stats["decisions"] == stats["planner"]["tasks"]
-        finally:
-            engine.close()
-
-    def test_identical_followup_batch_compiles_nothing(self, monkeypatch):
+    def test_identical_followup_batch_compiles_nothing(self):
         pairs = _fresh_pairs(seed=212, count=40)
-        engine = self._pooled_engine_after_batch(monkeypatch, pairs)
-        try:
-            again = engine.stats()
-            engine.equal_many_detailed(pairs, workers=2)
-            stats = engine.stats()
-            assert stats["compilations"] == 0
-            assert stats["last_batch"]["planner"]["tasks"] == 0
-            assert (
-                stats["warm_back"]["merged"] == again["warm_back"]["merged"]
-            ), "no new warm-back entries for an all-cached batch"
-        finally:
-            engine.close()
+        engine = self._engine_after_batch(pairs)
+        # Every distinct expression the planner turned into a task is in
+        # the compile cache, compiled exactly once, and each task's
+        # verdict was stored exactly once.
+        plan = plan_batch(pairs, lambda left, right: None)
+        for task in plan.tasks:
+            assert engine.has_wfa(task.left), task.left
+            assert engine.has_wfa(task.right), task.right
+        first = engine.stats()
+        assert first["compilations"] == first["planner"]["distinct_expressions"]
+        assert first["decisions"] == first["planner"]["tasks"]
+        engine.close()  # releases nothing: the caches survive it
+        engine.equal_many_detailed(pairs)
+        stats = engine.stats()
+        assert stats["compilations"] == first["compilations"]
+        assert stats["last_batch"]["planner"]["tasks"] == 0
 
-    def test_recombined_batch_runs_on_warmed_cache(self, monkeypatch):
+    def test_recombined_batch_runs_on_warmed_cache(self):
         """New pairs over already-seen expressions: Tzeng yes, compile no."""
         pairs = _fresh_pairs(seed=213, count=40)
-        engine = self._pooled_engine_after_batch(monkeypatch, pairs)
-        try:
-            # Pointer-equal pairs never become tasks (and so never warm
-            # back) — recombine only the expressions the planner executed.
-            plan = plan_batch(pairs, lambda left, right: None)
-            exprs = sorted(
-                {expr for task in plan.tasks for expr in (task.left, task.right)},
-                key=str,
-            )
-            recombined = list(zip(exprs, exprs[1:]))
-            engine.equal_many_detailed(recombined, workers=1)  # sequential path
-            assert engine.stats()["compilations"] == 0, (
-                "every operand was warm-backed by the pooled batch"
-            )
-        finally:
-            engine.close()
+        engine = self._engine_after_batch(pairs)
+        compiled = engine.stats()["compilations"]
+        # Pointer-equal pairs never become tasks (and so never compile) —
+        # recombine only the expressions the planner executed.
+        plan = plan_batch(pairs, lambda left, right: None)
+        exprs = sorted(
+            {expr for task in plan.tasks for expr in (task.left, task.right)},
+            key=str,
+        )
+        recombined = list(zip(exprs, exprs[1:]))
+        engine.equal_many_detailed(recombined)
+        assert engine.stats()["compilations"] == compiled, (
+            "every operand was compiled by the first batch"
+        )
 
     def test_warm_state_after_parallel_batch_replays_in_fresh_process(
-        self, monkeypatch, tmp_path
+        self, tmp_path
     ):
-        """save_warm_state after a pooled batch captures worker compiles."""
+        """save_warm_state after a batch captures its compilations."""
         pairs = _fresh_pairs(seed=214, count=24)
-        engine = self._pooled_engine_after_batch(monkeypatch, pairs)
-        try:
-            path = str(tmp_path / "warmback-state.pickle")
-            engine.save_warm_state(path)
-        finally:
-            engine.close()
+        engine = self._engine_after_batch(pairs)
+        path = str(tmp_path / "batch-state.pickle")
+        engine.save_warm_state(path)
+        meta = load_warm_state(path).meta
+        assert meta["wfa_entries"] == meta["parent_compilations"] > 0
 
         # The child re-derives the *recombined* pairing, so the verdict
-        # cache alone cannot answer it — the warm-backed WFAs must.
+        # cache alone cannot answer it — the saved WFAs must.
         script = (
             "from gen import random_pairs\n"
             "from repro.engine import NKAEngine, plan_batch\n"
@@ -330,17 +253,6 @@ class TestWarmBack:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"
-
-    def test_warm_state_meta_records_warmback_provenance(self, monkeypatch):
-        pairs = _fresh_pairs(seed=215, count=40)
-        engine = self._pooled_engine_after_batch(monkeypatch, pairs)
-        try:
-            state = engine.warm_state()
-            assert state.meta["warmback_merged"] > 0
-            assert state.meta["parent_compilations"] == 0
-            assert state.meta["wfa_entries"] == state.meta["warmback_merged"]
-        finally:
-            engine.close()
 
 
 class TestWarmState:

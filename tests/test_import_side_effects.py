@@ -105,15 +105,19 @@ pairs = [
     ("(1 + a)*", "a*"),
     ("1* ((a + b)* a (a + b) (a + b))", "(a + b)* a (a + b) (a + b)"),
 ]
-verdicts = [engine.equal(parse(left), parse(right)) for left, right in pairs]
+parsed = [(parse(left), parse(right)) for left, right in pairs]
+verdicts = [engine.equal(left, right) for left, right in parsed]
 assert verdicts == [True, False, True, False, False], verdicts
-print("numpy" in sys.modules)
+batched = NKAEngine(store=False).equal_many_detailed(parsed)
+assert [result.equal for result in batched] == verdicts, batched
+print("numpy" in sys.modules, "multiprocessing" in sys.modules)
 """
 
 
 def test_deciding_never_imports_numpy():
-    """The decision pipeline is pure python: compiling and deciding, ∞-heavy
-    pairs included, must not pull numpy into the process."""
+    """The decision pipeline is pure python and in-process: compiling and
+    deciding, ∞-heavy pairs and batches included, must pull neither numpy
+    nor multiprocessing into the process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
@@ -124,4 +128,4 @@ def test_deciding_never_imports_numpy():
         timeout=180,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert out.stdout.strip().splitlines()[-1] == "False False"

@@ -11,8 +11,8 @@ What must hold, per the serving contract (`src/repro/serving/README.md`):
   :class:`TenantQuotaExceeded` (the 429 path), recovers after draining,
   and never starves its neighbours;
 * **graceful drain** — ``close()`` serves everything admitted first, then
-  reaps every tenant engine's pool workers (verified against ``/proc``),
-  and subsequent submissions fail with :class:`ServiceClosed`;
+  closes every tenant engine, and subsequent submissions fail with
+  :class:`ServiceClosed`;
 * **multi-tenant isolation** — tenant state (verdict caches) never leaks
   across engines: a poisoned verdict in tenant A is invisible to tenant B;
 * **the second-chance probe** — a verdict a sibling replica published
@@ -25,9 +25,7 @@ No pytest-asyncio in the container: each test drives its own loop with
 
 import asyncio
 import json
-import os
 import pickle
-import time
 
 import pytest
 
@@ -55,20 +53,6 @@ def _pairs(seed=901, count=24, depth=3):
 def _sequential_reference(pairs):
     engine = NKAEngine("serving-ref")
     return [engine.equal_detailed(left, right) for left, right in pairs]
-
-
-def _wait_dead(pid, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with open(f"/proc/{pid}/stat") as handle:
-                state = handle.read().rsplit(") ", 1)[1].split()[0]
-        except (FileNotFoundError, ProcessLookupError, IndexError):
-            return True
-        if state == "Z":
-            return True
-        time.sleep(0.01)
-    return False
 
 
 class TestCoalescing:
@@ -308,24 +292,17 @@ class TestAdmission:
 
 
 class TestLifecycle:
-    def test_graceful_drain_serves_admitted_then_reaps_workers(
-        self, monkeypatch
-    ):
-        """Everything admitted before close() is served; the tenant's pool
-        workers are /proc-verified dead afterwards; late submissions 503."""
-        monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
+    def test_graceful_drain_serves_admitted_then_reaps_workers(self):
+        """Everything admitted before close() is served; late submissions
+        503.  (Engines start no workers now; the name is kept so the test
+        id stays stable.)"""
         warmup = _pairs(seed=931, count=30)
         wave = _pairs(seed=932, count=10)
 
         async def scenario():
-            config = TenantConfig(
-                "t", workers=2, max_batch=64, coalesce_window=0.05
-            )
+            config = TenantConfig("t", max_batch=64, coalesce_window=0.05)
             async with NKAService([config]) as service:
-                # Warm batch large enough to commit to the pool path.
                 await service.equal_many_detailed("t", warmup)
-                pids = service.engine("t").worker_pids()
-                assert pids, "the warm batch should have started the pool"
 
                 # Schedule a wave, let admission run, then close under it.
                 wave_results = asyncio.gather(
@@ -337,17 +314,15 @@ class TestLifecycle:
                 await close_task
                 with pytest.raises(ServiceClosed):
                     await service.equal_detailed("t", *wave[0])
-                return pids, results
+                return results
 
-        pids, results = asyncio.run(scenario())
+        results = asyncio.run(scenario())
         assert len(results) == len(wave)
         fresh = NKAEngine("drain-ref")
         for (left, right), result in zip(wave, results):
             assert pickle.dumps(result) == pickle.dumps(
                 fresh.equal_detailed(left, right)
             )
-        for pid in pids:
-            assert _wait_dead(pid), f"pool worker {pid} survived service close"
 
     def test_close_is_idempotent_and_concurrent(self):
         async def scenario():

@@ -15,8 +15,8 @@ operationalises this, and the :class:`~repro.engine.store.CompileStore`'s
   ``configure(infer_verdicts=...)`` toggles, and warm-state round-trips of
   the union–find;
 * the store tier — verdict entries evicting under the same byte budget as
-  WFAs, corruption-as-miss, ``contains_digests`` batching, the
-  ``describe`` split, and pool workers serving whole verdicts.
+  WFAs, corruption-as-miss, ``contains_digests`` batching and the
+  ``describe`` split.
 """
 
 import os
@@ -27,8 +27,7 @@ import pytest
 from gen import random_pairs
 
 from repro.core.expr import sym
-from repro.engine import NKAEngine, WorkerPool, pipeline_fingerprint
-from repro.engine.executor import decide_pure
+from repro.engine import NKAEngine
 from repro.engine.persist import expr_digest
 from repro.engine.store import CompileStore, describe_store, verdict_pair_key
 from repro.engine.verdicts import (
@@ -219,8 +218,7 @@ class TestEngineInference:
         section = json.loads(engine.stats_json())["verdicts"]
         for key in (
             "infer_enabled", "direct", "cache_hits", "inferred_equal",
-            "inferred_refuted", "store_hits", "worker_store_hits",
-            "published", "classes", "largest_class", "resets",
+            "inferred_refuted", "store_hits", "published", "classes", "largest_class", "resets",
         ):
             assert key in section, key
 
@@ -309,37 +307,6 @@ class TestVerdictStore:
         assert description["bytes"] == (
             description["wfa_bytes"] + description["verdict_bytes"]
         )
-
-    def test_pool_workers_serve_verdicts(self, tmp_path):
-        """A worker probes the verdict store before deciding: pre-published
-        pairs come back without a compile or a Tzeng run, flagged in the
-        outcome so the parent never re-publishes them."""
-        pairs = [
-            pair
-            for pair in random_pairs(seed=934, count=10, depth=2, equal_fraction=0.2)
-            if pair[0] is not pair[1]
-        ]
-        store = CompileStore(str(tmp_path))
-        oracle = NKAEngine("vs-pool-oracle")
-        expected = {}
-        for task_id, (left, right) in enumerate(pairs):
-            result = oracle.equal_detailed(left, right)
-            expected[task_id] = result
-            store.publish_verdict(expr_digest(left), expr_digest(right), result)
-        pool = WorkerPool(
-            1, pipeline_fingerprint(), store_spec=store.spec()
-        )
-        try:
-            chunks = [
-                [(task_id, left, right)]
-                for task_id, (left, right) in enumerate(pairs)
-            ]
-            verdicts, outcome = pool.run_batch(chunks, decide_pure)
-        finally:
-            pool.close()
-        assert outcome.verdict_store_task_ids == set(expected)
-        for task_id, result in expected.items():
-            assert pickle.dumps(verdicts[task_id]) == pickle.dumps(result)
 
 
 class TestStoreBackedInference:
