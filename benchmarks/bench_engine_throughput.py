@@ -1,4 +1,4 @@
-"""ENGINE — batched decision throughput: planner + warm start + stores.
+"""ENGINE — batched decision throughput: planner + warm start + verdict store.
 
 The ROADMAP north-star is a serving system: many related equality queries
 arriving in batches, answered from warm caches where possible.  This bench
@@ -15,18 +15,12 @@ batch API (reimplemented below as the baseline):
   (``cold``); the cold compile must take no longer than the numpy cold
   compile of the ε-closure pipeline the position automaton replaced
   (``--check``, :data:`EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS`);
-* **compile store** (PR 8) — two fresh engines sharing one
-  content-addressed :class:`~repro.engine.store.CompileStore`: the first
-  (``store_cold``) compiles + publishes everything, the second
-  (``store_served``) must answer the same batch with *zero* compilations
-  in at most 10% of the cold compile time (``--check``); store
-  hit/publish counters land in the JSON;
-* **verdict tier** (PR 9) — a ``chain`` workload of k pairwise-equal
-  re-associations: deciding the k−1 adjacent pairs seeds the union–find
-  verdict ledger, and the full C(k,2) closure must then be answered by
-  transitive inference alone (``--check``: ≤ k−1 Tzeng decisions, ≥10×
-  closure speedup vs inference-off, and a store-served replica with zero
-  compilations *and* zero decisions).
+* **verdict store** — two fresh engines sharing one content-addressed
+  :class:`~repro.engine.store.CompileStore`: the first (``store_cold``)
+  decides the batch and publishes every verdict, the second
+  (``store_served``, a replica) must answer the same batch with *zero*
+  compilations and *zero* decisions (``--check``); store hit/publish
+  counters land in the JSON.
 
 The baseline below is a faithful reimplementation of the PR 3 sequential
 ``nka_equal_many``: union-alphabet compilation + the dense-iteration Tzeng
@@ -71,7 +65,7 @@ from functools import reduce
 from repro.automata.equivalence import EquivalenceResult, wfa_equivalent
 from repro.automata.wfa import expr_to_wfa
 from repro.core.decision import clear_caches
-from repro.core.expr import Product, Star, Sum, alphabet, product_factors, sym
+from repro.core.expr import Product, Star, Sum, alphabet, product_factors
 from repro.engine import NKAEngine
 from repro.linalg import RowSpace, reachable
 
@@ -362,20 +356,18 @@ def run_suite(total_pairs, json_path=None, check=False, rounds=3):
     verdicts_by_config["warm"] = warm_verdicts
     os.unlink(state_path)
 
-    # -- compile store: fleet-wide warm reuse (PR 8 tentpole) ---------------
-    # Two fresh engines against one shared CompileStore directory: the
-    # *cold* one faces an empty store (compiles + publishes everything),
-    # the *served* one runs right after against the populated store and
-    # must compile nothing — its automata all deserialize off disk.  Both
-    # are timed on the same compile-loop + equal_many shape as the cold
-    # section, best-of-rounds per metric, store wiped before each cold
-    # round so a round never rides the previous round's publishes.
+    # -- verdict store: fleet-wide reuse of decisions ----------------------
+    # Two fresh engines against one shared store directory: the *cold* one
+    # faces an empty store (compiles, decides and publishes every verdict),
+    # the *served* replica runs right after against the populated store and
+    # must neither compile nor decide — every verdict is read off disk.
+    # Best-of-rounds per label, store wiped before each cold round so a
+    # round never rides the previous round's publishes.
     import shutil
 
     store_root = tempfile.mkdtemp(suffix=".nka-store")
     store_best = {
-        label: {"compile": float("inf"), "decide": float("inf"),
-                "total": float("inf"), "stats": None, "verdicts": None}
+        label: {"seconds": float("inf"), "stats": None, "verdicts": None}
         for label in ("store_cold", "store_served")
     }
     for _ in range(rounds):
@@ -384,138 +376,22 @@ def run_suite(total_pairs, json_path=None, check=False, rounds=3):
             _cold()
             with NKAEngine(f"bench-{label}", store=store_root) as candidate:
                 started = time.perf_counter()
-                for left, right in batch:
-                    candidate.compile(left)
-                    candidate.compile(right)
-                compile_seconds = time.perf_counter() - started
-                started = time.perf_counter()
                 candidate_verdicts = candidate.equal_many(batch)
-                decide_seconds = time.perf_counter() - started
+                seconds = time.perf_counter() - started
                 stats = candidate.stats()
-            if label == "store_served":
-                assert stats["compilations"] == 0, (
-                    f"store-served engine compiled {stats['compilations']} automata"
-                )
             best = store_best[label]
-            best["compile"] = min(best["compile"], compile_seconds)
-            best["decide"] = min(best["decide"], decide_seconds)
-            if compile_seconds + decide_seconds < best["total"]:
-                best.update(
-                    total=compile_seconds + decide_seconds,
-                    stats=stats, verdicts=candidate_verdicts,
-                )
+            if seconds < best["seconds"]:
+                best.update(seconds=seconds, stats=stats, verdicts=candidate_verdicts)
     for label, best in store_best.items():
         results["configs"][label] = {
-            "compile_seconds": round(best["compile"], 4),
-            "decide_seconds": round(best["decide"], 4),
-            "total_seconds": round(best["total"], 4),
+            "seconds": round(best["seconds"], 4),
             "compilations": best["stats"]["compilations"],
+            "decisions": best["stats"]["decisions"],
+            "verdict_store_hits": best["stats"]["verdicts"]["store_hits"],
             "store": best["stats"]["store"],
         }
         verdicts_by_config[label] = best["verdicts"]
-    results["configs"]["store_served"]["compile_speedup_vs_cold"] = round(
-        store_best["store_cold"]["compile"] / store_best["store_served"]["compile"], 2
-    )
     shutil.rmtree(store_root, ignore_errors=True)
-
-    # -- verdict tier: transitive inference over a chained family (PR 9) ----
-    # k distinct re-associations of one k-symbol product are pairwise equal;
-    # deciding the k−1 *adjacent* pairs seeds the engine's verdict ledger,
-    # after which the whole C(k,2) closure is inferred by union–find lookup
-    # — zero further compiles, zero further Tzeng runs.  The inference-off
-    # contender pays a Tzeng run per closure pair from the same warm compile
-    # cache, so the timed gap is the verdict tier's alone.  Finally a fresh
-    # replica against the shared store answers *everything* — adjacent pairs
-    # off the fleet verdict store, closure off its own (store-seeded)
-    # ledger — without a single compile or decision.
-    chain_k, chain_factors = 12, 12
-    chain_rng = random.Random(9090)
-    chain_syms = [sym(f"ch{i}") for i in range(chain_factors)]
-
-    def _chain_assoc(lo, hi):
-        if hi - lo == 1:
-            return chain_syms[lo]
-        split = chain_rng.randint(lo + 1, hi - 1)
-        return Product(_chain_assoc(lo, split), _chain_assoc(split, hi))
-
-    chain_family, chain_seen = [], set()
-    while len(chain_family) < chain_k:
-        expr = _chain_assoc(0, chain_factors)
-        if expr not in chain_seen:
-            chain_seen.add(expr)
-            chain_family.append(expr)
-    adjacent = list(zip(chain_family, chain_family[1:]))
-    closure = [
-        (chain_family[i], chain_family[j])
-        for i in range(chain_k)
-        for j in range(i + 2, chain_k)
-    ]
-
-    chain_root = tempfile.mkdtemp(suffix=".nka-verdicts")
-    chain_best = {
-        "on": {"seconds": float("inf"), "stats": None, "verdicts": None},
-        "off": {"seconds": float("inf"), "verdicts": None},
-    }
-    for _ in range(rounds):
-        shutil.rmtree(chain_root, ignore_errors=True)
-        _cold()
-        with NKAEngine(
-            "bench-chain-on", store=chain_root, infer_verdicts=True
-        ) as candidate:
-            candidate.equal_many(adjacent)
-            started = time.perf_counter()
-            candidate_verdicts = candidate.equal_many(closure)
-            seconds = time.perf_counter() - started
-            stats = candidate.stats()
-        if seconds < chain_best["on"]["seconds"]:
-            chain_best["on"].update(
-                seconds=seconds, stats=stats, verdicts=candidate_verdicts
-            )
-        _cold()
-        with NKAEngine("bench-chain-off", infer_verdicts=False) as candidate:
-            candidate.equal_many(adjacent)
-            started = time.perf_counter()
-            candidate_verdicts = candidate.equal_many(closure)
-            seconds = time.perf_counter() - started
-        if seconds < chain_best["off"]["seconds"]:
-            chain_best["off"].update(seconds=seconds, verdicts=candidate_verdicts)
-    assert chain_best["on"]["verdicts"] == chain_best["off"]["verdicts"], (
-        "chain closure verdict divergence between inference configs"
-    )
-    # The replica runs against the store the *last* round populated.
-    _cold()
-    with NKAEngine(
-        "bench-chain-replica", store=chain_root, infer_verdicts=True
-    ) as replica:
-        replica_adjacent = replica.equal_many(adjacent)
-        replica_closure = replica.equal_many(closure)
-        replica_stats = replica.stats()
-    assert replica_closure == chain_best["on"]["verdicts"], (
-        "chain replica closure verdict divergence"
-    )
-    assert replica_adjacent == [True] * len(adjacent)
-    shutil.rmtree(chain_root, ignore_errors=True)
-    chain_on_stats = chain_best["on"]["stats"]
-    results["configs"]["chain_infer_on"] = {
-        "family": chain_k,
-        "adjacent_pairs": len(adjacent),
-        "closure_pairs": len(closure),
-        "closure_seconds": round(chain_best["on"]["seconds"], 4),
-        "closure_speedup_vs_off": round(
-            chain_best["off"]["seconds"] / chain_best["on"]["seconds"], 2
-        ),
-        "decisions": chain_on_stats["decisions"],
-        "inferred_equal": chain_on_stats["verdicts"]["inferred_equal"],
-    }
-    results["configs"]["chain_infer_off"] = {
-        "closure_seconds": round(chain_best["off"]["seconds"], 4),
-    }
-    results["configs"]["chain_store_served"] = {
-        "compilations": replica_stats["compilations"],
-        "decisions": replica_stats["decisions"],
-        "verdict_store_hits": replica_stats["verdicts"]["store_hits"],
-        "inferred_equal": replica_stats["verdicts"]["inferred_equal"],
-    }
 
     for label, verdicts in verdicts_by_config.items():
         assert verdicts == baseline, f"verdict divergence in config {label}"
@@ -536,37 +412,15 @@ def run_suite(total_pairs, json_path=None, check=False, rounds=3):
             "python cold compile exceeded the ε-closure numpy baseline: "
             f"{cold_compile:.4f}s vs {EPSILON_CLOSURE_NUMPY_COMPILE_SECONDS}s"
         )
-        # The compile store's headline gate: an engine served entirely out
-        # of a fleet-populated store compiles nothing and spends at most
-        # 10% of the cold engine's compile time deserializing it all.
+        # The verdict store's gate: a fresh replica over the store the
+        # cold engine populated answers the batch without compiling or
+        # deciding anything.
         served = results["configs"]["store_served"]
-        cold = results["configs"]["store_cold"]
         assert served["compilations"] == 0, (
-            f"store-served engine compiled {served['compilations']} automata"
+            f"store-served replica compiled {served['compilations']} automata"
         )
-        assert served["compile_seconds"] <= cold["compile_seconds"] * 0.1, (
-            "store-served compile phase exceeded 10% of cold compile: "
-            f"{served['compile_seconds']:.3f}s vs {cold['compile_seconds']:.3f}s"
-        )
-        # The verdict tier's headline gates (PR 9): k−1 adjacent decisions
-        # buy the whole C(k,2) closure — no further Tzeng runs, a ≥10×
-        # closure-phase speedup over the inference-off engine, and a
-        # store-served replica that never compiles or decides at all.
-        chain_on = results["configs"]["chain_infer_on"]
-        assert chain_on["decisions"] <= chain_on["family"] - 1, (
-            f"chain inference ran {chain_on['decisions']} Tzeng decisions, "
-            f"budget was {chain_on['family'] - 1}"
-        )
-        assert chain_on["closure_speedup_vs_off"] >= 10.0, (
-            "closure inference speedup fell below the 10x gate: "
-            f"{chain_on['closure_speedup_vs_off']}x"
-        )
-        chain_replica = results["configs"]["chain_store_served"]
-        assert chain_replica["compilations"] == 0, (
-            f"chain replica compiled {chain_replica['compilations']} automata"
-        )
-        assert chain_replica["decisions"] == 0, (
-            f"chain replica ran {chain_replica['decisions']} Tzeng decisions"
+        assert served["decisions"] == 0, (
+            f"store-served replica ran {served['decisions']} Tzeng decisions"
         )
     return results
 
@@ -616,33 +470,15 @@ def test_engine_store_served_zero_compilations(small_suite):
     served = small_suite["configs"]["store_served"]
     cold = small_suite["configs"]["store_cold"]
     assert served["compilations"] == 0
+    assert served["decisions"] == 0
     assert cold["compilations"] > 0
-    assert served["store"]["parent_hits"] > 0
-    # Timer noise swamps smoke-sized runs; the strict 0.1× gate rides on
-    # the CI sweep (--check).  Served must still be clearly cheaper.
-    assert served["compile_seconds"] < cold["compile_seconds"]
+    assert served["verdict_store_hits"] > 0
+    assert served["seconds"] < cold["seconds"]
     report(
         "ENGINE/store",
-        "a fleet-populated store serves a fresh engine without compiling",
-        f"served compile {served['compile_seconds']}s vs cold "
-        f"{cold['compile_seconds']}s ({served['compile_speedup_vs_cold']}×)",
-    )
-
-
-def test_engine_chain_inference_closes_the_transitive_closure(small_suite):
-    chain = small_suite["configs"]["chain_infer_on"]
-    assert chain["decisions"] <= chain["family"] - 1
-    assert chain["inferred_equal"] == chain["closure_pairs"]
-    replica = small_suite["configs"]["chain_store_served"]
-    assert replica["compilations"] == 0
-    assert replica["decisions"] == 0
-    assert replica["verdict_store_hits"] > 0
-    report(
-        "ENGINE/verdict-tier",
-        "k−1 adjacent decisions buy the whole C(k,2) closure",
-        f"{chain['decisions']} decisions answered {chain['closure_pairs']} "
-        f"closure pairs ({chain['closure_speedup_vs_off']}× vs inference-off); "
-        "store-served replica: 0 compiles, 0 decisions",
+        "a fleet-populated verdict store serves a fresh replica",
+        f"served {served['seconds']}s vs cold {cold['seconds']}s; "
+        "replica: 0 compiles, 0 decisions",
     )
 
 
@@ -651,8 +487,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=240)
     parser.add_argument("--json", type=str, default=None)
     parser.add_argument("--check", action="store_true",
-                        help="assert warm=0 compiles and the compile, store "
-                             "and chain gates")
+                        help="assert warm=0 compiles, the compile gate "
+                             "and the verdict-store gate")
     args = parser.parse_args(argv)
     results = run_suite(
         total_pairs=args.pairs,

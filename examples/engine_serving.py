@@ -16,7 +16,7 @@ now sits on top, :class:`repro.serving.NKAService`:
    requests without any client cooperation;
 3. **backpressure** — a flooding tenant is rejected with 429 semantics at
    its own ``max_queue`` while its neighbours never notice;
-4. **fleet verdict sharing** — two tenants pointed at one compile store:
+4. **fleet verdict sharing** — two tenants pointed at one verdict store:
    the coalescer's second-chance probe lets one tenant *serve* a verdict
    its sibling published moments ago, negative cache notwithstanding;
 5. **an HTTP front door** — ``POST /equal`` and ``GET /stats`` on a
@@ -25,8 +25,7 @@ now sits on top, :class:`repro.serving.NKAService`:
    closes every tenant engine.
 
 The engine-level levers underneath (warm-state snapshots, the
-content-addressed compile store, the verdict ledger) are
-walked through in ``benchmarks/bench_engine_throughput.py`` and
+content-addressed verdict store) are walked through in ``benchmarks/bench_engine_throughput.py`` and
 ``src/repro/engine/README.md``.
 """
 
@@ -95,7 +94,7 @@ async def walkthrough() -> None:
             TenantConfig("ci"),
             # A latency-sensitive tenant with a tight queue and no batching.
             TenantConfig("interactive", max_queue=8, max_batch=1),
-            # Two replica-shaped tenants sharing one verdict/compile store
+            # Two replica-shaped tenants sharing one verdict store
             # (replica-b keeps an inspectable handle for section 4).
             TenantConfig("replica-a", store=store_root),
             TenantConfig("replica-b", store=(store_b := CompileStore(store_root))),

@@ -8,7 +8,7 @@ Programs via Non-idempotent Kleene Algebra* (PLDI 2022):
   procedure for ``⊢NKA e = f`` (Theorem A.6 / Remark 2.1);
 * :mod:`repro.engine` — session-scoped decision engines
   (:class:`~repro.engine.NKAEngine`): isolated caches, batch query
-  planning, parallel execution, persistent warm start, metrics;
+  planning, a shared verdict store, persistent warm start, metrics;
 * :mod:`repro.series` — formal & rational power series over ``N̄``;
 * :mod:`repro.linalg` — semiring-generic sparse linear algebra (the
   backend every matrix/vector computation in the pipeline compiles to);

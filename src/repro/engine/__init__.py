@@ -10,18 +10,12 @@ Public surface:
 * the persistence layer — :class:`WarmState`, :func:`pipeline_fingerprint`,
   :class:`WarmStateError` / :class:`StaleWarmStateError`,
   :func:`describe_warm_state` (:mod:`repro.engine.persist`);
-* the shared compile store — :class:`~repro.engine.store.CompileStore`, a
-  content-addressed directory of compiled automata that many engines,
+* the shared verdict store — :class:`~repro.engine.store.CompileStore`, a
+  content-addressed directory of decided verdicts that many engines,
   processes and hosts read/write concurrently (``NKAEngine(store=...)`` /
   ``REPRO_COMPILE_STORE``), with :func:`describe_store` / :func:`gc_store`
   and a ``python -m repro.engine.store`` ops CLI
   (:mod:`repro.engine.store`);
-* the verdict tier — :class:`~repro.engine.verdicts.VerdictLedger`, a
-  union–find over proven-equal expressions with a per-class refutation
-  index; with ``NKAEngine(infer_verdicts=True)`` (or
-  ``REPRO_VERDICT_INFER=1``) chains of known verdicts answer new pairs
-  with zero compiles and zero Tzeng runs, and the store also shares
-  whole *verdicts* fleet-wide (:mod:`repro.engine.verdicts`);
 * planner introspection types for tooling —
   :class:`~repro.engine.planner.BatchPlan`,
   :class:`~repro.engine.planner.PlanStats`.
@@ -53,13 +47,6 @@ from repro.engine.persist import (
     save_warm_state,
 )
 from repro.engine.planner import BatchPlan, PlannedQuery, PlanStats, plan_batch
-from repro.engine.verdicts import (
-    INFERRED_EQUAL_REASON,
-    VerdictContradictionError,
-    VerdictLedger,
-    inferred_refuted_reason,
-    is_inferred_reason,
-)
 
 # The store's names resolve lazily (PEP 562): `python -m repro.engine.store`
 # imports this package first, and an eager submodule import here would leave
@@ -95,11 +82,6 @@ __all__ = [
     "gc_store",
     "open_default_store",
     "verdict_pair_key",
-    "VerdictLedger",
-    "VerdictContradictionError",
-    "INFERRED_EQUAL_REASON",
-    "inferred_refuted_reason",
-    "is_inferred_reason",
     "WarmState",
     "WarmStateError",
     "StaleWarmStateError",

@@ -13,9 +13,12 @@ cache registry.
 What an engine adds over the bare pipeline:
 
 * **query planning** (:mod:`repro.engine.planner`) — batches are deduped by
-  interned identity, short-circuited against the verdict cache and ordered
-  cheapest-first; the remaining tasks run in order through the session's
-  own caches;
+  interned identity, short-circuited against the verdict cache and the
+  shared verdict store and ordered cheapest-first; the remaining tasks run
+  in order through the session's own caches;
+* **one verdict path** — pointer-equal → session verdict cache → shared
+  verdict store (:mod:`repro.engine.store`) → compile and decide; every
+  decided verdict is cached symmetrically and offered to the store;
 * **persistent warm start** (:mod:`repro.engine.persist`) — caches
   serialize to a fingerprint-versioned on-disk state, so a fresh process
   answers a known workload with zero compilations;
@@ -58,18 +61,11 @@ from repro.engine.persist import (
     pipeline_fingerprint,
     save_warm_state,
 )
-from repro.engine.verdicts import (
-    INFERRED_EQUAL_REASON,
-    VerdictLedger,
-    inferred_refuted_reason,
-)
 from repro.util.cache import CacheRegistry, LRUCache, process_registry
 
 __all__ = ["NKAEngine", "default_engine"]
 
 _ENGINE_COUNTER = [0]
-
-_UNSET = object()  # configure() sentinel: "leave this setting alone"
 
 
 class NKAEngine:
@@ -85,27 +81,14 @@ class NKAEngine:
             :class:`~repro.engine.persist.StaleWarmStateError` unless
             ``strict_warm_state=False``, which falls back to a cold start.
         store: a shared :class:`~repro.engine.store.CompileStore` (or a
-            directory path to open one at) consulted on every compile-cache
-            miss and fed by every fresh compilation, so a fleet of engines
-            across processes and hosts compiles each expression once.
+            directory path to open one at) consulted on every verdict-cache
+            miss and fed by every fresh decision, so a fleet of engines
+            across processes and hosts decides each pair once.
             ``None`` (default) follows ``REPRO_COMPILE_STORE``;
             pass ``store=False`` to disable the store even when the
             environment variable is set.  Store failures of any kind are
             counted, never raised: an engine without its store is merely
             colder.
-        infer_verdicts: enable the verdict ledger's *transitive inference*
-            tier: equivalence is a congruence, so ``a≡b ∧ b≡c`` answers
-            ``a≡c`` with zero compiles and zero Tzeng runs, and
-            ``a≡b ∧ b≢c (witness w)`` answers ``a≢c`` by transferring
-            ``w`` (the series of ``a`` and ``b`` are identical as
-            functions, so the two pairs share their counterexample *set*
-            — the shortlex-minimal witness the decision procedure returns
-            transfers byte-identically).  ``None`` (default) follows
-            ``REPRO_VERDICT_INFER``; the ledger *records* verdicts either
-            way, so inference can be toggled mid-session via
-            :meth:`configure`.  Inferred results carry a canonical
-            ``inferred:`` reason tag and are otherwise byte-identical to
-            direct decisions; they are never published to the store.
         cache_namespace: prefix for the cache names; the default engine
             passes ``"decision"`` to keep the historical global names.
         register_globally: also register this engine's caches in the
@@ -128,7 +111,6 @@ class NKAEngine:
         warm_state: Union[None, str, WarmState] = None,
         strict_warm_state: bool = True,
         store: Union[None, bool, str, CompileStore] = None,
-        infer_verdicts: Optional[bool] = None,
         cache_namespace: Optional[str] = None,
         register_globally: bool = False,
     ):
@@ -168,14 +150,6 @@ class NKAEngine:
             self._store = CompileStore(store)
         else:
             self._store = store
-        if infer_verdicts is None:
-            env = os.environ.get("REPRO_VERDICT_INFER", "")
-            infer_verdicts = env.strip().lower() in ("1", "true", "yes", "on")
-        self._infer_verdicts = bool(infer_verdicts)
-        # The ledger always *records* (recording is O(α) and enables
-        # toggling inference on mid-session); it is only *consulted* when
-        # inference is enabled.
-        self._ledger = VerdictLedger(capacity=max(1024, 8 * result_capacity))
         self._lock = threading.RLock()
         # Serialises batch execution: the work is CPU-bound under the GIL,
         # so interleaving two threads' batches would only delay both, and
@@ -187,28 +161,18 @@ class NKAEngine:
         self._batches = 0
         self._warm_wfas = 0
         self._warm_verdicts = 0
-        self._warm_classes = 0
-        self._warm_refutations = 0
         self._plan_totals = PlanStats()
         self._plan_seconds = 0.0
         self._execute_seconds = 0.0
         self._last_batch: Optional[Dict[str, object]] = None
-        self._reset_lifetime_executor_stats()
-        self._reset_verdict_stats()
+        self._reset_lifetime_counters()
         if warm_state is not None:
             self.load_warm_state(warm_state, strict=strict_warm_state)
 
-    def _reset_lifetime_executor_stats(self) -> None:
-        self._store_hits = 0
-        self._store_publishes = 0
+    def _reset_lifetime_counters(self) -> None:
         self._store_errors = 0
         self._tasks_executed = 0
-
-    def _reset_verdict_stats(self) -> None:
-        self._verdicts_direct = 0
         self._verdict_cache_hits = 0
-        self._verdicts_inferred_equal = 0
-        self._verdicts_inferred_refuted = 0
         self._verdict_store_hits = 0
         self._verdict_store_publishes = 0
 
@@ -226,56 +190,17 @@ class NKAEngine:
             cached = self._wfa.get(expr)
             if cached is not None:
                 return cached
-        served = self._store_lookup(expr)
-        if served is not None:
-            return served
         wfa = expr_to_wfa(expr)
         with self._lock:
             self._compilations += 1
             self._wfa.put(expr, wfa)
-        self._store_publish(expr, wfa)
         return wfa
-
-    def _store_lookup(self, expr: Expr) -> Optional[WFA]:
-        """Consult the shared store on a compile-cache miss; a hit lands in
-        the session cache (and counts as a hit, not a compilation)."""
-        store = self._store
-        if store is None:
-            return None
-        try:
-            wfa = store.get(expr)
-        except Exception:
-            with self._lock:
-                self._store_errors += 1
-            return None
-        if wfa is None:
-            return None
-        with self._lock:
-            self._store_hits += 1
-            self._wfa.put(expr, wfa)
-        return wfa
-
-    def _store_publish(self, expr: Expr, wfa: WFA) -> None:
-        """Offer a freshly compiled automaton to the fleet (never raises)."""
-        store = self._store
-        if store is None:
-            return
-        try:
-            published = store.publish(expr, wfa)
-        except Exception:
-            with self._lock:
-                self._store_errors += 1
-            return
-        if published:
-            with self._lock:
-                self._store_publishes += 1
 
     def equal_detailed(self, left: Expr, right: Expr) -> EquivalenceResult:
         """Decide ``⊢NKA left = right`` and report how it was decided.
 
-        Lookup order is the verdict tier's canonical one: pointer-equal →
-        verdict cache → union–find inference (when enabled) → shared
-        verdict store → direct decision.
+        Lookup order is the engine's one verdict path: pointer-equal →
+        verdict cache → shared verdict store → compile and decide.
         """
         if left is right:
             # Hash-consing makes syntactic equality pointer identity, and
@@ -286,49 +211,28 @@ class NKAEngine:
             if cached is not None:
                 self._verdict_cache_hits += 1
                 return cached
-        inferred = self._infer_from_ledger(left, right)
-        if inferred is not None:
-            return inferred
-        served = self._verdict_store_lookup(left, right)
-        if served is not None:
-            self._record_verdict(left, right, served, direct=False)
-            return served
-        result = wfa_equivalent(self.compile(left), self.compile(right))
-        self._record_verdict(left, right, result)
-        return result
+        return self._decide_into_caches(left, right)
 
     def equal(self, left: Expr, right: Expr) -> bool:
         """Decide ``⊢NKA left = right`` (True iff derivable from the axioms)."""
         return self.equal_detailed(left, right).equal
 
-    def _record_verdict(
-        self,
-        left: Expr,
-        right: Expr,
-        result: EquivalenceResult,
-        *,
-        direct: bool = True,
-        publish: bool = True,
-    ) -> None:
-        """Record a verdict symmetrically (one decision answers both
-        orientations — a distinguishing word distinguishes either way) and
-        file it in the transitive ledger.  ``direct`` marks an actual Tzeng
-        decision (counted and, when ``publish``, offered to the fleet's
-        verdict store); store-served results pass ``direct=False``."""
-        with self._lock:
-            if direct:
-                self._decisions += 1
-                self._verdicts_direct += 1
-            self._results.put((left, right), result)
-            self._results.put((right, left), result)
-            self._ledger.record(left, right, result)
-        if direct and publish:
-            self._publish_verdict(left, right, result)
-
-    def _publish_verdict(
+    def _cache_verdict(
         self, left: Expr, right: Expr, result: EquivalenceResult
     ) -> None:
-        """Offer a directly-decided verdict to the fleet (never raises)."""
+        """Cache a verdict symmetrically: one decision answers both
+        orientations (a distinguishing word distinguishes either way)."""
+        with self._lock:
+            self._results.put((left, right), result)
+            self._results.put((right, left), result)
+
+    def _record_verdict(
+        self, left: Expr, right: Expr, result: EquivalenceResult
+    ) -> None:
+        """Count, cache and publish a verdict this session decided."""
+        with self._lock:
+            self._decisions += 1
+        self._cache_verdict(left, right, result)
         store = self._store
         if store is None:
             return
@@ -347,8 +251,9 @@ class NKAEngine:
     def _verdict_store_lookup(
         self, left: Expr, right: Expr
     ) -> Optional[EquivalenceResult]:
-        """Probe the fleet's verdict store (only direct decisions live
-        there, so serving from it preserves byte-identity)."""
+        """Probe the fleet's verdict store; a hit lands in the session's
+        verdict cache.  Only decided verdicts live there, so serving from
+        it preserves byte-identity."""
         store = self._store
         if store is None:
             return None
@@ -361,84 +266,26 @@ class NKAEngine:
         if result is not None:
             with self._lock:
                 self._verdict_store_hits += 1
+            self._cache_verdict(left, right, result)
         return result
-
-    def _infer_from_ledger(
-        self, left: Expr, right: Expr
-    ) -> Optional[EquivalenceResult]:
-        """Answer from the transitive closure of recorded verdicts.
-
-        An inferred refutation's witness transfers byte-identically (the
-        pairs share their counterexample set, and the decision procedure
-        returns the shortlex-minimal element), but we still re-evaluate
-        both series on the word — O(|w|) sparse matvecs — as a soundness
-        guard: if the weights agree after all (impossible unless state
-        was corrupted), we fall through to a direct decision.
-        """
-        if not self._infer_verdicts:
-            return None
-        with self._lock:
-            inferred = self._ledger.infer(left, right)
-        if inferred is None:
-            return None
-        kind, witness = inferred
-        if kind == "equal":
-            result = EquivalenceResult(
-                equal=True,
-                counterexample=None,
-                reason=INFERRED_EQUAL_REASON,
-            )
-            with self._lock:
-                self._verdicts_inferred_equal += 1
-                self._results.put((left, right), result)
-                self._results.put((right, left), result)
-            return result
-        left_weight = self.compile(left).weight(witness)
-        right_weight = self.compile(right).weight(witness)
-        if left_weight == right_weight:
-            return None  # corrupted ledger state: decide directly instead
-        result = EquivalenceResult(
-            equal=False,
-            counterexample=witness,
-            reason=inferred_refuted_reason(witness),
-        )
-        with self._lock:
-            self._verdicts_inferred_refuted += 1
-            self._results.put((left, right), result)
-            self._results.put((right, left), result)
-        return result
-
-    def _cached_verdict(
-        self, left: Expr, right: Expr
-    ) -> Optional[EquivalenceResult]:
-        with self._lock:
-            return self._results.get((left, right))
 
     def _plan_lookup(
         self, left: Expr, right: Expr
     ) -> Optional[EquivalenceResult]:
-        """Planner short-circuit: verdict cache → ledger inference →
-        verdict store.  Anything answered here is removed from the batch
-        before a single automaton is considered."""
+        """Planner short-circuit: verdict cache → verdict store.  Anything
+        answered here is removed from the batch before a single automaton
+        is considered."""
         with self._lock:
             cached = self._results.get((left, right))
             if cached is not None:
                 return cached
-        inferred = self._infer_from_ledger(left, right)
-        if inferred is not None:
-            return inferred
-        served = self._verdict_store_lookup(left, right)
-        if served is not None:
-            self._record_verdict(left, right, served, direct=False)
-            return served
-        return None
+        return self._verdict_store_lookup(left, right)
 
     def invalidate_negative_verdicts(
         self, pairs: Iterable[Tuple[Expr, Expr]]
     ) -> int:
         """Second-chance probe support: forget recent store *misses* for
-        these pairs (and their expressions) so the next plan re-reads the
-        disk.
+        these pairs so the next plan re-reads the disk.
 
         The store's negative cache hides a sibling replica's publish for up
         to its TTL (~2 s) of plan-time probes — fine for a lone engine,
@@ -455,36 +302,16 @@ class NKAEngine:
         # of sys.modules until a store is actually configured.
         from repro.engine.store import verdict_pair_key
 
-        keys = set()
-        for left, right in pairs:
-            left_digest = expr_digest(left)
-            right_digest = expr_digest(right)
-            keys.add(verdict_pair_key(left_digest, right_digest))
-            keys.add(left_digest)
-            keys.add(right_digest)
+        keys = {
+            verdict_pair_key(expr_digest(left), expr_digest(right))
+            for left, right in pairs
+        }
         try:
             return store.invalidate_negative(keys)
         except Exception:
             with self._lock:
                 self._store_errors += 1
             return 0
-
-    def _is_compiled(self, expr: Expr) -> bool:
-        """Planner probe: is this expression's automaton already available
-        without compiling (session cache or shared store)?  Wrong answers
-        (e.g. a racing eviction) only skew ordering, never verdicts."""
-        with self._lock:
-            if expr in self._wfa:
-                return True
-        store = self._store
-        if store is None:
-            return False
-        try:
-            return store.contains(expr)
-        except Exception:
-            with self._lock:
-                self._store_errors += 1
-            return False
 
     # -- batch API ---------------------------------------------------------
 
@@ -500,13 +327,12 @@ class NKAEngine:
         """
         pairs = list(pairs)
         plan_started = time.perf_counter()
-        # Expressions whose automata are already available — session cache
-        # or store — cost ~nothing, so ordering sees the batch's residual
-        # work, not phantom compilations.  The planner asks only for the
-        # tasks the verdict tiers leave, so only their expressions are
-        # probed.
+        # Expressions already in the session's compile cache cost ~nothing,
+        # so ordering sees the batch's residual work, not phantom
+        # compilations.  The planner asks only for the tasks the verdict
+        # tiers leave, so only their expressions are probed.
         cost_estimate = cached_aware_cost_estimate(
-            _default_cost_estimate, self._is_compiled
+            _default_cost_estimate, self.has_wfa
         )
         plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
         plan_seconds = time.perf_counter() - plan_started
@@ -541,16 +367,14 @@ class NKAEngine:
         return [result.equal for result in self.equal_many_detailed(pairs)]
 
     def _decide_into_caches(self, left: Expr, right: Expr) -> EquivalenceResult:
-        """Run one planned task on this engine's caches.
+        """Decide one pair on this engine's caches: verdict store, then
+        compile and decide.
 
-        The verdict store is probed here too: a sibling may have published
-        the pair since planning.  Ledger inference is **not**: the planner
-        already consulted it, and inferring from verdicts decided earlier in
-        the same batch would make a task's answer depend on task order.
+        For a planned task the store is probed again: a sibling may have
+        published the pair since planning.
         """
         served = self._verdict_store_lookup(left, right)
         if served is not None:
-            self._record_verdict(left, right, served, direct=False)
             return served
         result = wfa_equivalent(self.compile(left), self.compile(right))
         self._record_verdict(left, right, result)
@@ -628,42 +452,29 @@ class NKAEngine:
         """
         with self._lock:
             self.registry.clear(reset_stats=reset_stats)
-            self._ledger.clear()
             if reset_stats:
                 self._compilations = 0
                 self._decisions = 0
                 self._batches = 0
                 self._warm_wfas = 0
                 self._warm_verdicts = 0
-                self._warm_classes = 0
-                self._warm_refutations = 0
                 self._plan_totals = PlanStats()
                 self._plan_seconds = 0.0
                 self._execute_seconds = 0.0
                 self._last_batch = None
-                self._reset_lifetime_executor_stats()
-                self._reset_verdict_stats()
-                self._ledger.resets = 0
+                self._reset_lifetime_counters()
 
     def configure(
         self,
         wfa_capacity: Optional[int] = None,
         result_capacity: Optional[int] = None,
-        infer_verdicts=_UNSET,
     ) -> None:
-        """Resize caches (shrinking evicts LRU entries).
-
-        ``infer_verdicts`` toggles the ledger's transitive-inference tier
-        mid-session; verdicts recorded while it was off are already in the
-        ledger, so switching it on takes effect retroactively.
-        """
+        """Resize caches (shrinking evicts LRU entries)."""
         with self._lock:
             if wfa_capacity is not None:
                 self._wfa.resize(wfa_capacity)
             if result_capacity is not None:
                 self._results.resize(result_capacity)
-            if infer_verdicts is not _UNSET:
-                self._infer_verdicts = bool(infer_verdicts)
 
     @property
     def compilations(self) -> int:
@@ -672,7 +483,7 @@ class NKAEngine:
 
     @property
     def store(self) -> Optional[CompileStore]:
-        """The shared compile store this session consults, if any."""
+        """The shared verdict store this session consults, if any."""
         return self._store
 
     def stats(self) -> Dict[str, object]:
@@ -698,29 +509,18 @@ class NKAEngine:
                 "batches": self._batches,
                 "store": None
                 if self._store is None
-                else {
-                    **self._store.stats(),
-                    # This engine's slice of the shared counters: compiles
-                    # it avoided and entries it contributed.
-                    "parent_hits": self._store_hits,
-                    "parent_publishes": self._store_publishes,
-                    "errors": self._store_errors,
-                },
+                else {**self._store.stats(), "errors": self._store_errors},
                 "verdicts": {
-                    "infer_enabled": self._infer_verdicts,
-                    "direct": self._verdicts_direct,
+                    # Read only by nkabench; goes with its next change.
+                    "infer_enabled": False,
+                    "direct": self._decisions,
                     "cache_hits": self._verdict_cache_hits,
-                    "inferred_equal": self._verdicts_inferred_equal,
-                    "inferred_refuted": self._verdicts_inferred_refuted,
                     "store_hits": self._verdict_store_hits,
                     "published": self._verdict_store_publishes,
-                    **self._ledger.stats(),
                 },
                 "warm_start": {
                     "wfas_loaded": self._warm_wfas,
                     "verdicts_loaded": self._warm_verdicts,
-                    "classes_loaded": self._warm_classes,
-                    "refutations_loaded": self._warm_refutations,
                 },
                 "planner": self._plan_totals.as_dict(),
                 "executor": {
@@ -745,7 +545,6 @@ class NKAEngine:
         with self._lock:
             wfas = self._wfa.items()
             verdict_items = self._results.items()
-            classes, refutations = self._ledger.snapshot()
         verdicts = []
         emitted = set()
         for (left, right), result in verdict_items:
@@ -756,14 +555,10 @@ class NKAEngine:
         return make_warm_state(
             wfas=wfas,
             verdicts=verdicts,
-            verdict_classes=classes,
-            verdict_refutations=refutations,
             meta={
                 "engine": self.name,
                 "wfa_entries": len(wfas),
                 "verdict_entries": len(verdicts),
-                "equivalence_classes": len(classes),
-                "refutation_entries": len(refutations),
                 "parent_compilations": self._compilations,
             },
         )
@@ -802,8 +597,6 @@ class NKAEngine:
                     f"{pipeline_fingerprint()[:12]}…; recompile cold and re-save"
                 )
             return False
-        classes = getattr(state, "verdict_classes", [])
-        refutations = getattr(state, "verdict_refutations", [])
         with self._lock:
             for expr, wfa in state.wfas:
                 self._wfa.put(expr, wfa)
@@ -812,10 +605,7 @@ class NKAEngine:
                 self._results.put((left, right), result)
                 self._results.put((right, left), result)
                 self._warm_verdicts += 1
-            self._ledger.restore(classes, refutations)
-            self._warm_classes += len(classes)
-            self._warm_refutations += len(refutations)
-        return bool(state.wfas or state.verdicts or classes or refutations)
+        return bool(state.wfas or state.verdicts)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (

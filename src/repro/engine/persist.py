@@ -59,16 +59,17 @@ __all__ = [
     "describe_warm_state",
 ]
 
-# Format 2: WarmState grew the verdict-ledger fields (equivalence classes
-# + refutation witnesses).  The constant participates in the pipeline
-# fingerprint, so every format-1 state and store tree is cleanly stale —
-# never half-loaded with the ledger missing.
+# The constant participates in the pipeline fingerprint, so bumping it
+# makes every saved warm state and every store directory stale at once.
+# Format 2 once meant "WarmState carries a verdict ledger"; the ledger is
+# gone, but a state saved with one still loads (the extra attributes are
+# ignored), so the format stays 2 and existing stores keep serving.
 PERSIST_FORMAT = 2
 
-# The one pickling contract for every persisted compile artefact: the warm
-# state (this module) and the content-addressed compile store
-# (:mod:`repro.engine.store`) must serialize identically, or a WFA written
-# by one tier could fail to round-trip through the other.
+# The one pickling contract for every persisted artefact: the warm state
+# (this module) and the shared verdict store (:mod:`repro.engine.store`)
+# must serialize identically, or an artefact written by one tier could fail
+# to round-trip through the other.
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
@@ -165,8 +166,12 @@ def expr_digest(expr: Expr) -> str:
     are hash-consed, the digest memoizes per interned node — digesting a
     batch costs one hash per *distinct* subterm, and two processes (or two
     hosts) always derive the same digest for structurally equal
-    expressions, which is what lets the compile store address artefacts by
-    content instead of by session.
+    expressions, which is what lets the verdict store address verdicts by
+    content instead of by session.  Only engines with a store digest
+    anything.
+
+    The walk is recursive, so an expression nested deeper than the
+    interpreter's recursion limit cannot be digested (a known limit).
     """
     cached = _DIGEST_CACHE.get(expr)
     if cached is not None:
@@ -219,14 +224,6 @@ class WarmState:
     loading engine restores both orientations).  Entries are ordered
     least- to most-recently used so that replaying them through ``put``
     reproduces the source engine's eviction order.
-
-    ``verdict_classes`` and ``verdict_refutations`` round-trip the
-    engine's verdict ledger (:mod:`repro.engine.verdicts`): the size-≥2
-    equivalence classes (members digest-sorted) and the
-    ``(repr_a, repr_b, witness)`` refutation triples between class
-    representatives, exactly the deterministic shape
-    :meth:`VerdictLedger.snapshot` produces — so a warm reload restores
-    the transitive-inference tier, not just the flat caches.
     """
 
     fingerprint: str
@@ -234,10 +231,6 @@ class WarmState:
     verdicts: List[Tuple[Tuple[Expr, Expr], EquivalenceResult]]
     created_at: float = 0.0
     meta: Dict[str, Any] = field(default_factory=dict)
-    verdict_classes: List[List[Expr]] = field(default_factory=list)
-    verdict_refutations: List[Tuple[Expr, Expr, Tuple[str, ...]]] = field(
-        default_factory=list
-    )
 
 
 def save_warm_state(state: WarmState, path: str) -> str:
@@ -325,8 +318,6 @@ def describe_warm_state(path: str) -> Dict[str, Any]:
         "fresh": state.fingerprint == pipeline_fingerprint(),
         "wfa_entries": len(state.wfas),
         "verdict_entries": len(state.verdicts),
-        "equivalence_classes": len(getattr(state, "verdict_classes", [])),
-        "refutation_entries": len(getattr(state, "verdict_refutations", [])),
         "created_at": state.created_at,
         "meta": dict(state.meta),
     }
@@ -336,10 +327,6 @@ def make_warm_state(
     wfas: List[Tuple[Expr, WFA]],
     verdicts: List[Tuple[Tuple[Expr, Expr], EquivalenceResult]],
     meta: Optional[Dict[str, Any]] = None,
-    verdict_classes: Optional[List[List[Expr]]] = None,
-    verdict_refutations: Optional[
-        List[Tuple[Expr, Expr, Tuple[str, ...]]]
-    ] = None,
 ) -> WarmState:
     """Assemble a snapshot stamped with the current fingerprint."""
     return WarmState(
@@ -348,6 +335,4 @@ def make_warm_state(
         verdicts=verdicts,
         created_at=time.time(),
         meta=dict(meta or {}),
-        verdict_classes=list(verdict_classes or []),
-        verdict_refutations=list(verdict_refutations or []),
     )

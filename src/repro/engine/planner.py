@@ -47,10 +47,10 @@ __all__ = [
     "IDENTICAL_RESULT",
 ]
 
-# The nominal cost of an expression whose automaton is already available
-# (compile cache or compile store): not zero — a store hit still pays a
-# read + decode — but small enough that ordering treats it like a
-# verdict-cache hit rather than a compilation.
+# The nominal cost of an expression whose automaton is already in the
+# compile cache: not zero — the decision still runs on it — but small
+# enough that ordering treats it like a verdict-cache hit rather than a
+# compilation.
 CACHED_COST = 1
 
 
@@ -168,12 +168,12 @@ def cached_aware_cost_estimate(
     """A cost estimate that treats already-compiled expressions as near-free.
 
     ``is_cached`` answers "is this expression's automaton already available
-    without compiling?" — the engine passes a probe over its compile cache
-    *plus* the shared :class:`~repro.engine.store.CompileStore`, so a batch
-    against a populated store orders as the nearly-free workload it
-    actually is instead of as a wall of phantom compilations.  Cost only
-    influences ordering, never verdicts, so a wrong (raced) answer from
-    ``is_cached`` costs at most a suboptimal order.
+    without compiling?" — the engine passes a probe over its session
+    compile cache, so a batch over already-compiled expressions orders as
+    the nearly-free workload it actually is instead of as a wall of
+    phantom compilations.  Cost only influences ordering, never verdicts,
+    so a wrong (raced) answer from ``is_cached`` costs at most a
+    suboptimal order.
     """
 
     def estimate(expr: Expr) -> int:

@@ -126,7 +126,9 @@ class TenantConfig:
     """
 
     name: str
-    workers: ClassVar[int] = 1  # read only by nkabench; goes with its next change
+    # Read only by nkabench; both go with its next change.
+    workers: ClassVar[int] = 1
+    infer_verdicts: ClassVar[bool] = False
 
     max_queue: int = 256
     max_batch: int = 64
@@ -134,7 +136,6 @@ class TenantConfig:
     wfa_capacity: int = 4096
     result_capacity: int = 8192
     store: Union[None, bool, str, Any] = False
-    infer_verdicts: Optional[bool] = None
     warm_state: Optional[str] = None
 
     def make_engine(self) -> NKAEngine:
@@ -147,7 +148,6 @@ class TenantConfig:
             # hard failure at tenant-boot time helps nobody at 3am.
             strict_warm_state=False,
             store=self.store,
-            infer_verdicts=self.infer_verdicts,
         )
 
 

@@ -1,18 +1,22 @@
-"""The content-addressed shared compile store: unit, wiring and stress tests.
+"""The content-addressed shared verdict store: unit, wiring and stress tests.
 
-Five surfaces:
+The store holds decided verdicts only (``.verdict`` entries, one per
+unordered digest pair).  Six surfaces:
 
 * **store semantics** — publish/get round-trips, digest stability across
   re-interning, negative/positive lookup caches, the silently-a-miss
   corruption contract (torn bytes, foreign fingerprints, misaddressed
   files), and index-driven size-budget eviction;
+* **stores from older writers** — ``.wfa`` (compiled-automaton) entries
+  left in the current fingerprint directory are never read, their
+  verdicts still serve, and ``gc`` deletes them with their index lines;
 * **fingerprint discipline** (satellite) — ``pipeline_fingerprint()``
   raises a typed :class:`WarmStateError` for source-less modules instead of
   stamping an incomplete pipeline, stays planner-independent, and the
   module list itself is pinned;
 * **engine wiring** — ``NKAEngine(store=...)`` / ``REPRO_COMPILE_STORE``
-  serve compiles from the store (zero parent compilations on a warm
-  store), publish fresh ones, and surface a ``store`` stats section;
+  serve verdicts from the store (zero compilations and decisions on a
+  warm store), publish fresh ones, and surface a ``store`` stats section;
 * **concurrency** — N processes publishing and reading the same digests
   concurrently, and a publisher SIGKILLed mid-stream, must leave no
   visible torn entry (every survivor loads cleanly, temp debris stays
@@ -38,6 +42,7 @@ import pytest
 
 from gen import random_pairs
 
+from repro.automata.equivalence import EquivalenceResult
 from repro.core.expr import Star, product_of, sum_of, sym
 from repro.engine import NKAEngine, WarmStateError, pipeline_fingerprint
 from repro.engine import persist
@@ -46,6 +51,7 @@ from repro.engine.store import (
     CompileStore,
     describe_store,
     gc_store,
+    verdict_pair_key,
 )
 from repro.engine.store import main as store_cli
 
@@ -66,19 +72,38 @@ def _compile(expr):
     return expr_to_wfa(expr)
 
 
+# The store validates an entry's header, not its verdict, so the unit tests
+# publish one fixed result; round trips use a decided one.
+_RESULT = EquivalenceResult(equal=False, counterexample=("a",), reason="test verdict")
+
+
+def _pairs(count=6, seed=0):
+    """Digest pairs of distinct expressions: one verdict key each."""
+    exprs = _exprs(2 * count, seed)
+    return [
+        (persist.expr_digest(exprs[2 * i]), persist.expr_digest(exprs[2 * i + 1]))
+        for i in range(count)
+    ]
+
+
+def _path(store, pair):
+    return store._entry_path(verdict_pair_key(*pair))
+
+
 class TestStoreSemantics:
     def test_publish_get_round_trip(self, tmp_path):
         store = CompileStore(str(tmp_path / "store"))
-        expr = _exprs(1)[0]
-        wfa = _compile(expr)
-        assert store.get(expr) is None
-        assert store.publish(expr, wfa) is True
+        left, right = _exprs(2)
+        result = NKAEngine("round-trip", store=False).equal_detailed(left, right)
+        pair = (persist.expr_digest(left), persist.expr_digest(right))
+        assert store.get_verdict(*pair) is None
+        assert store.publish_verdict(*pair, result) is True
         # Same handle: served out of the positive cache.
-        assert store.get(expr) is not None
-        # Fresh handle: served off disk, byte-identical automaton.
+        assert store.get_verdict(*pair) is not None
+        # Fresh handle: served off disk, byte-identical verdict.
         fresh = CompileStore(str(tmp_path / "store"))
-        served = fresh.get(expr)
-        assert pickle.dumps(served) == pickle.dumps(wfa)
+        served = fresh.get_verdict(*pair)
+        assert pickle.dumps(served) == pickle.dumps(result)
         assert fresh.stats()["hits"] == 1
 
     def test_construction_touches_no_disk(self, tmp_path):
@@ -86,18 +111,17 @@ class TestStoreSemantics:
         store = CompileStore(str(root))
         assert not root.exists()
         # Reads against a store that does not exist yet are plain misses.
-        assert store.get(_exprs(1)[0]) is None
+        assert store.get_verdict(*_pairs(1)[0]) is None
         assert not root.exists()
 
     def test_publish_skips_existing_entry(self, tmp_path):
-        """At-most-once fleet-wide: a digest already on disk is not rewritten."""
+        """At-most-once fleet-wide: a pair already on disk is not rewritten."""
         root = str(tmp_path)
-        expr = _exprs(1)[0]
-        wfa = _compile(expr)
+        pair = _pairs(1)[0]
         first = CompileStore(root)
-        assert first.publish(expr, wfa) is True
+        assert first.publish_verdict(*pair, _RESULT) is True
         second = CompileStore(root)
-        assert second.publish(expr, wfa) is False
+        assert second.publish_verdict(*reversed(pair), _RESULT) is False
         assert second.stats()["publish_skipped"] == 1
         assert first.stats()["publishes"] == 1
 
@@ -111,30 +135,30 @@ class TestStoreSemantics:
 
     def test_negative_cache_expires(self, tmp_path):
         root = str(tmp_path)
-        expr = _exprs(1)[0]
+        pair = _pairs(1)[0]
         reader = CompileStore(root, negative_ttl=0.05)
-        assert reader.get(expr) is None
+        assert reader.get_verdict(*pair) is None
         # Within the TTL the disk is not probed again.
-        assert reader.get(expr) is None
+        assert reader.get_verdict(*pair) is None
         assert reader.stats()["negative_hits"] >= 1
         # Another process (simulated: a second handle) publishes...
-        CompileStore(root).publish(expr, _compile(expr))
+        CompileStore(root).publish_verdict(*pair, _RESULT)
         time.sleep(0.06)
         # ...and after the TTL the publish becomes visible.
-        assert reader.get(expr) is not None
+        assert reader.get_verdict(*pair) is not None
 
     def test_torn_entry_is_silently_a_miss(self, tmp_path):
         root = str(tmp_path)
-        expr = _exprs(1)[0]
+        pair = _pairs(1)[0]
         store = CompileStore(root)
-        store.publish(expr, _compile(expr))
-        path = store._entry_path(persist.expr_digest(expr))
+        store.publish_verdict(*pair, _RESULT)
+        path = _path(store, pair)
         with open(path, "rb") as handle:
             data = handle.read()
         with open(path, "wb") as handle:
             handle.write(data[: len(data) // 2])  # torn write
         fresh = CompileStore(root)
-        assert fresh.get(expr) is None
+        assert fresh.get_verdict(*pair) is None
         assert fresh.stats()["corrupt_skipped"] == 1
         assert not os.path.exists(path), "corrupt entry must be removed"
 
@@ -142,89 +166,88 @@ class TestStoreSemantics:
         """An entry whose embedded fingerprint differs from the directory it
         sits in (cross-linked file, manual copy) must not serve."""
         root = str(tmp_path)
-        expr = _exprs(1)[0]
+        pair = _pairs(1)[0]
         store = CompileStore(root)
-        digest = persist.expr_digest(expr)
+        key = verdict_pair_key(*pair)
         payload = persist.dumps_artifact(
-            ("nka-compile-store", STORE_FORMAT, "f" * 64, digest, _compile(expr))
+            ("nka-verdict-store", STORE_FORMAT, "f" * 64, key, _RESULT)
         )
-        path = store._entry_path(digest)
+        path = store._entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(payload)
-        assert store.get(expr) is None
+        assert store.get_verdict(*pair) is None
         assert store.stats()["corrupt_skipped"] == 1
 
     def test_misaddressed_entry_is_a_miss(self, tmp_path):
-        """A valid payload at the *wrong* digest path (renamed file) fails
-        the embedded-digest check."""
+        """A valid payload at the *wrong* key path (renamed file) fails
+        the embedded-key check."""
         root = str(tmp_path)
-        left, right = _exprs(2)
+        first, second = _pairs(2)
         store = CompileStore(root)
-        store.publish(left, _compile(left))
-        src = store._entry_path(persist.expr_digest(left))
-        dst = store._entry_path(persist.expr_digest(right))
+        store.publish_verdict(*first, _RESULT)
+        src = _path(store, first)
+        dst = _path(store, second)
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         os.rename(src, dst)
         fresh = CompileStore(root)
-        assert fresh.get(right) is None
+        assert fresh.get_verdict(*second) is None
         assert fresh.stats()["corrupt_skipped"] == 1
 
     def test_eviction_under_byte_budget(self, tmp_path):
         root = str(tmp_path)
-        exprs = _exprs(6)
+        pairs = _pairs(6)
         store = CompileStore(root)
         sizes = []
-        for index, expr in enumerate(exprs):
-            store.publish(expr, _compile(expr))
+        for index, pair in enumerate(pairs):
+            store.publish_verdict(*pair, _RESULT)
             sizes.append(store.stats()["bytes"])
             os.utime(
-                store._entry_path(persist.expr_digest(expr)),
+                _path(store, pair),
                 (time.time() - 100 + index, time.time() - 100 + index),
             )
         per_entry = sizes[0]
         keep = 2
         evicted = store.evict(max_bytes=per_entry * keep + 1)
-        assert evicted == len(exprs) - keep
+        assert evicted == len(pairs) - keep
         # Oldest-mtime entries went; the newest survive.
-        survivors = [expr for expr in exprs if CompileStore(root).get(expr)]
-        assert survivors == exprs[-keep:]
+        survivors = [
+            pair for pair in pairs if CompileStore(root).get_verdict(*pair) is not None
+        ]
+        assert survivors == pairs[-keep:]
         assert store.stats()["evictions"] == evicted
         assert store.stats()["bytes"] <= per_entry * keep + 1
 
     def test_publish_auto_evicts_over_budget(self, tmp_path):
-        expr = _exprs(1)[0]
         probe = CompileStore(str(tmp_path))
-        probe.publish(expr, _compile(expr))
+        probe.publish_verdict(*_pairs(1)[0], _RESULT)
         per_entry = probe.stats()["bytes"]
 
         root = str(tmp_path / "budget")
         store = CompileStore(root, max_bytes=int(per_entry * 2.5))
-        for index, item in enumerate(_exprs(6, seed=1)):
-            store.publish(item, _compile(item))
+        for index, pair in enumerate(_pairs(6, seed=1)):
+            store.publish_verdict(*pair, _RESULT)
             # Deterministic mtime ordering even on coarse filesystems.
             stamp = time.time() - 100 + index
-            os.utime(
-                store._entry_path(persist.expr_digest(item)), (stamp, stamp)
-            )
+            os.utime(_path(store, pair), (stamp, stamp))
         assert store.stats()["evictions"] > 0
         assert store.stats()["bytes"] <= store.max_bytes
 
     def test_index_tolerates_torn_lines(self, tmp_path):
         root = str(tmp_path)
         store = CompileStore(root)
-        exprs = _exprs(3, seed=2)
-        for expr in exprs:
-            store.publish(expr, _compile(expr))
+        pairs = _pairs(3, seed=2)
+        for pair in pairs:
+            store.publish_verdict(*pair, _RESULT)
         with open(store._index_path(), "a") as handle:
             handle.write("deadbeef")  # torn append, no newline, wrong width
         fresh = CompileStore(root)
         index = fresh._read_index()
-        assert set(index) == {persist.expr_digest(expr) for expr in exprs}
+        assert set(index) == {verdict_pair_key(*pair) for pair in pairs}
         # evict() with no budget just compacts; nothing is lost.
         assert fresh.evict(max_bytes=None) == 0
-        for expr in exprs:
-            assert CompileStore(root).get(expr) is not None
+        for pair in pairs:
+            assert CompileStore(root).get_verdict(*pair) is not None
 
     def test_spec_round_trip(self, tmp_path):
         store = CompileStore(str(tmp_path), max_bytes=12345, fsync=True)
@@ -232,6 +255,61 @@ class TestStoreSemantics:
         assert clone.root == store.root
         assert clone.max_bytes == 12345
         assert clone.fsync is True
+
+
+class TestLegacyWfaEntries:
+    """Stores written while the store also held compiled automata: those
+    ``<digest>.wfa`` entries (and their 64-character index lines) sit in
+    the *current* fingerprint directory, because the fingerprinted sources
+    did not change when the tier was deleted."""
+
+    @staticmethod
+    def _plant_wfa_entry(store, expr):
+        """Write an entry exactly as the older writer laid it out."""
+        digest = persist.expr_digest(expr)
+        data = persist.dumps_artifact(
+            ("nka-compile-store", STORE_FORMAT, store.fingerprint, digest, _compile(expr))
+        )
+        path = os.path.join(store._fingerprint_dir(), digest[:2], digest + ".wfa")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with open(store._index_path(), "a") as index:
+            index.write(f"{digest} {len(data)}\n")
+        return path
+
+    def test_verdicts_serve_and_gc_drops_wfa_entries(self, tmp_path):
+        root = str(tmp_path)
+        pairs = random_pairs(seed=911, count=20, depth=3, equal_fraction=0.2)
+        with NKAEngine("legacy-pub", store=root) as publisher:
+            baseline = publisher.equal_many_detailed(pairs)
+            published = publisher.stats()["verdicts"]["published"]
+        store = CompileStore(root)
+        planted = [
+            self._plant_wfa_entry(store, expr)
+            for expr in {expr for pair in pairs for expr in pair}
+        ]
+        # The .wfa entries are invisible to reads, describe and the index.
+        assert len(store._read_index()) == published
+        assert describe_store(root)["entries"] == published
+        with NKAEngine("legacy-sub", store=root) as served:
+            verdicts = served.equal_many_detailed(pairs)
+            assert served.compilations == 0
+            assert served.stats()["decisions"] == 0
+        assert pickle.dumps(verdicts) == pickle.dumps(baseline)
+
+        report = gc_store(root)
+        assert report["wfa_entries_removed"] == len(planted)
+        assert report["entries_reindexed"] == published
+        assert not any(os.path.exists(path) for path in planted)
+        with open(store._index_path()) as handle:
+            keys = [line.split()[0] for line in handle if line.strip()]
+        assert sorted(keys) == sorted(store._read_index())
+        assert len(keys) == published
+        with NKAEngine("legacy-after-gc", store=root) as served:
+            again = served.equal_many_detailed(pairs)
+            assert served.stats()["decisions"] == 0
+        assert pickle.dumps(again) == pickle.dumps(baseline)
 
 
 class TestPickleDeterminism:
@@ -242,9 +320,9 @@ class TestPickleDeterminism:
     canonical ``__getstate__`` ordering, two equal automata, or one
     automaton before and after a store round trip, could pickle to
     *different bytes* under ~15% of hash seeds (a byte-identity flake in
-    ``test_publish_get_round_trip`` on exactly this file).  Byte identity
-    of pickled automata is a conformance surface: the store is
-    content-addressed and the differential suites compare pickled bytes.
+    the automaton store round trip this file once tested).  Byte identity
+    of pickled automata is a conformance surface: warm state persists
+    them and the differential suites compare pickled bytes.
     """
 
     @staticmethod
@@ -284,16 +362,16 @@ class TestPickleDeterminism:
             self._with_alphabet(other)
         )
 
-    def test_store_round_trip_is_byte_stable(self, tmp_path):
+    def test_warm_state_round_trip_is_byte_stable(self, tmp_path):
         pair = self._adversarial_alphabets()
         if pair is None:
             pytest.skip("interpreter laid every shuffle out identically")
         _, other = pair
         wfa = self._with_alphabet(other)
         expr = _exprs(1, seed=9)[0]
-        store = CompileStore(str(tmp_path / "store"))
-        assert store.publish(expr, wfa) is True
-        served = CompileStore(str(tmp_path / "store")).get(expr)
+        path = str(tmp_path / "warm.pickle")
+        persist.save_warm_state(persist.make_warm_state([(expr, wfa)], []), path)
+        ((_, served),) = persist.load_warm_state(path).wfas
         assert pickle.dumps(served) == pickle.dumps(wfa)
 
     def test_support_dfa_memo_round_trips_byte_stable(self):
@@ -313,9 +391,6 @@ class TestNegativeCacheInvalidation:
     tests fail on the pre-PR store with ``AttributeError``."""
 
     def test_invalidate_reveals_sibling_publish_within_ttl(self, tmp_path):
-        from repro.automata.equivalence import EquivalenceResult
-        from repro.engine.store import verdict_pair_key
-
         root = str(tmp_path / "store")
         # A generous TTL makes the hiding deterministic, not timing-luck.
         replica_a = CompileStore(root, negative_ttl=60.0)
@@ -342,18 +417,16 @@ class TestNegativeCacheInvalidation:
 
     def test_invalidate_everything_and_unknown_keys(self, tmp_path):
         store = CompileStore(str(tmp_path / "store"), negative_ttl=60.0)
-        exprs = _exprs(3, seed=8)
-        for expr in exprs:
-            assert store.get(expr) is None  # seeds one negative entry each
+        pairs = _pairs(3, seed=8)
+        for pair in pairs:
+            assert store.get_verdict(*pair) is None  # seeds one negative entry each
         assert store.invalidate_negative(["no-such-key"]) == 0
-        assert store.invalidate_negative() == len(exprs)
+        assert store.invalidate_negative() == len(pairs)
         assert store.invalidate_negative() == 0  # already empty
 
     def test_engine_second_chance_helper(self, tmp_path):
-        """``NKAEngine.invalidate_negative_verdicts`` drops the pair key
-        and both expression digests, and no-ops without a store."""
-        from repro.automata.equivalence import EquivalenceResult
-
+        """``NKAEngine.invalidate_negative_verdicts`` drops the pair key,
+        and no-ops without a store."""
         root = str(tmp_path / "store")
         engine = NKAEngine(
             "second-chance", store=CompileStore(root, negative_ttl=60.0)
@@ -362,17 +435,15 @@ class TestNegativeCacheInvalidation:
         left, right = _exprs(2, seed=9)
         digest_l = persist.expr_digest(left)
         digest_r = persist.expr_digest(right)
-        # Seed negatives exactly as plan-time probes would: a verdict miss
-        # and a WFA presence miss per side.
+        # Seed the negative exactly as a plan-time probe would.
         assert engine.store.get_verdict(digest_l, digest_r) is None
-        assert engine.store.contains_digests([digest_l, digest_r]) == set()
         sibling.publish_verdict(
             digest_l,
             digest_r,
             EquivalenceResult(equal=True, counterexample=None, reason="t"),
         )
         dropped = engine.invalidate_negative_verdicts([(left, right)])
-        assert dropped == 3  # pair key + two digests
+        assert dropped == 1  # the pair key
         assert engine.store.get_verdict(digest_l, digest_r) is not None
         # Storeless engines answer zero without touching anything.
         assert NKAEngine("no-store", store=False).invalidate_negative_verdicts(
@@ -421,37 +492,46 @@ class TestEngineWiring:
         pairs = random_pairs(seed=901, count=30, depth=3, equal_fraction=0.2)
         with NKAEngine("store-pub", store=root) as publisher:
             baseline = publisher.equal_many_detailed(pairs)
-            published = publisher.stats()["store"]["parent_publishes"]
+            published = publisher.stats()["verdicts"]["published"]
             assert published > 0
-            assert published == publisher.compilations
+            assert published == publisher.stats()["decisions"]
         with NKAEngine("store-sub", store=root) as served:
-            # The identical batch is answered entirely from the *verdict*
-            # store at plan time: zero compiles, zero decisions, not even
-            # a WFA read.
+            # The identical batch is answered entirely from the verdict
+            # store at plan time: zero compiles, zero decisions.
             verdicts = served.equal_many_detailed(pairs)
             assert served.compilations == 0
             assert served.stats()["decisions"] == 0
             assert served.stats()["verdicts"]["store_hits"] == len(
                 {tuple(sorted(p, key=id)) for p in pairs if p[0] is not p[1]}
             )
-            stats = served.stats()["store"]
-            assert stats["parent_publishes"] == 0
-            # *Recombined* pairs miss the verdict store but hit the WFA
-            # store: novel decisions, still zero compilations.  (Only
-            # exprs from non-pointer-equal pairs ever compiled/published.)
+            assert served.stats()["verdicts"]["published"] == 0
+            # *Recombined* pairs miss the store: this engine compiles and
+            # decides them, and publishes their verdicts in turn.
             lefts = sorted(
                 {l for l, r in pairs if l is not r}, key=str
             )
             recombined = [(lefts[i], lefts[-1 - i]) for i in range(len(lefts) // 2)]
-            served.equal_many_detailed(recombined)
-            assert served.compilations == 0
-            assert served.stats()["store"]["parent_hits"] > 0
+            decided = served.equal_many_detailed(recombined)
+            assert served.compilations > 0
+            assert served.stats()["verdicts"]["published"] == len(recombined)
+        with NKAEngine("store-third", store=root) as third:
+            assert pickle.dumps(third.equal_many_detailed(recombined)) == pickle.dumps(
+                decided
+            )
+            assert third.compilations == 0
+            assert third.stats()["decisions"] == 0
         assert pickle.dumps(baseline) == pickle.dumps(verdicts)
+        # Compiled automata never reach the store.
+        assert not [
+            name for _dir, _sub, names in os.walk(root) for name in names
+            if name.endswith(".wfa")
+        ]
 
     def test_plan_probes_only_the_residual_pairs(self, tmp_path, monkeypatch):
-        """A replica batch of N store-known pairs plus one novel pair
-        probes the WFA tier only for the novel pair's two expressions: the
-        verdict tier answers the rest before any cost is estimated."""
+        """A replica batch of N store-known pairs plus one novel pair asks
+        the cost model about the novel pair's two expressions only: the
+        verdict tiers answer the rest before any cost is estimated, and the
+        cost model reads the session compile cache, never the store."""
         root = str(tmp_path)
         known = [
             (left, right)
@@ -464,18 +544,19 @@ class TestEngineWiring:
         batch = known + [novel]
 
         probed = []
-        real_contains_digests = CompileStore.contains_digests
+        real_has_wfa = NKAEngine.has_wfa
 
-        def counting(self, digests):
-            digests = list(digests)
-            probed.extend(digests)
-            return real_contains_digests(self, digests)
+        def counting(self, expr):
+            probed.append(expr)
+            return real_has_wfa(self, expr)
 
-        monkeypatch.setattr(CompileStore, "contains_digests", counting)
+        monkeypatch.setattr(NKAEngine, "has_wfa", counting)
         with NKAEngine("probe-replica", store=root) as replica:
             verdicts = replica.equal_many_detailed(batch)
-        assert len(probed) <= 2
-        assert set(probed) <= {persist.expr_digest(expr) for expr in novel}
+            assert replica.compilations == 2
+            assert replica.stats()["decisions"] == 1
+        assert 0 < len(probed) <= 2
+        assert set(probed) <= set(novel)
 
         reference = NKAEngine("probe-ref", store=False)
         expected = [reference.equal_detailed(left, right) for left, right in batch]
@@ -496,12 +577,13 @@ class TestEngineWiring:
             section = engine.stats()["store"]
         for key in (
             "hits", "misses", "publishes", "evictions", "corrupt_skipped",
-            "bytes", "parent_hits", "parent_publishes",
+            "bytes", "errors",
         ):
             assert key in section, key
-        assert section["parent_publishes"] == 2
+        assert section["publishes"] == 1  # one verdict, no automata
+        assert section["errors"] == 0
         # stats_json must stay serializable with the new section.
-        assert json.loads(engine.stats_json())["store"]["parent_publishes"] == 2
+        assert json.loads(engine.stats_json())["store"]["publishes"] == 1
         storeless = NKAEngine("store-none", store=False)
         assert storeless.stats()["store"] is None
 
@@ -512,10 +594,11 @@ class TestEngineWiring:
         pairs = random_pairs(seed=903, count=40, depth=3, equal_fraction=0.2)
         with NKAEngine("fleet-pub", store=root) as engine:
             engine.equal_many_detailed(pairs)
-            assert engine.stats()["store"]["parent_publishes"] > 0
+            assert engine.stats()["verdicts"]["published"] > 0
         with NKAEngine("fleet-sub", store=root) as served:
             served.equal_many_detailed(pairs)
             assert served.compilations == 0
+            assert served.stats()["decisions"] == 0
 
 # -- multiprocess stress --------------------------------------------------------
 #
@@ -524,18 +607,16 @@ class TestEngineWiring:
 
 
 def _stress_child(spec, rounds, barrier, results):
-    from repro.automata.wfa import expr_to_wfa
     from repro.engine.store import CompileStore
 
     store = CompileStore.from_spec(spec)
-    exprs = _exprs(6, seed="stress")  # every process: the SAME digests
+    pairs = _pairs(6, seed="stress")  # every process: the SAME keys
     barrier.wait()  # maximise publish collisions
     served = 0
     for _round in range(rounds):
-        for expr in exprs:
-            wfa = store.get(expr)
-            if wfa is None:
-                store.publish(expr, expr_to_wfa(expr))
+        for pair in pairs:
+            if store.get_verdict(*pair) is None:
+                store.publish_verdict(*pair, _RESULT)
             else:
                 served += 1
         store.clear_lookup_cache()  # force disk reads next round
@@ -544,14 +625,12 @@ def _stress_child(spec, rounds, barrier, results):
 
 def _kill_victim_child(spec, ready):
     """Publish entries forever until SIGKILLed mid-stream."""
-    from repro.automata.wfa import expr_to_wfa
     from repro.engine.store import CompileStore
 
     store = CompileStore.from_spec(spec)
     index = 0
     while True:
-        expr = _exprs(1, seed=f"victim{index}")[0]
-        store.publish(expr, expr_to_wfa(expr))
+        store.publish_verdict(*_pairs(1, seed=f"victim{index}")[0], _RESULT)
         index += 1
         if index == 3:
             ready.set()  # enough traffic in flight: parent may now shoot
@@ -563,9 +642,9 @@ START_METHODS = pytest.mark.parametrize("start_method", ["fork", "spawn"])
 class TestConcurrentAccess:
     @START_METHODS
     def test_concurrent_writers_and_readers(self, tmp_path, start_method):
-        """N processes hammering the same digests: no torn entry ever
-        serves, every verdict-relevant read is either a clean WFA or a
-        clean miss, and the store ends exactly one entry per digest."""
+        """N processes hammering the same keys: no torn entry ever
+        serves, every read is either a clean verdict or a clean miss, and
+        the store ends exactly one entry per key."""
         ctx = multiprocessing.get_context(start_method)
         spec = CompileStore(str(tmp_path)).spec()
         workers = 4
@@ -589,8 +668,8 @@ class TestConcurrentAccess:
         assert description["entries"] == 6
         # Every visible entry decodes cleanly in a fresh process view.
         checker = CompileStore(str(tmp_path))
-        for expr in _exprs(6, seed="stress"):
-            assert checker.get(expr) is not None
+        for pair in _pairs(6, seed="stress"):
+            assert pickle.dumps(checker.get_verdict(*pair)) == pickle.dumps(_RESULT)
         assert checker.stats()["corrupt_skipped"] == 0
 
     @START_METHODS
@@ -608,8 +687,7 @@ class TestConcurrentAccess:
         checker = CompileStore(str(tmp_path))
         loaded = 0
         for index in range(16):
-            expr = _exprs(1, seed=f"victim{index}")[0]
-            if checker.get(expr) is not None:
+            if checker.get_verdict(*_pairs(1, seed=f"victim{index}")[0]) is not None:
                 loaded += 1
         assert loaded >= 3, "the pre-kill publishes must be visible"
         assert checker.stats()["corrupt_skipped"] == 0
@@ -625,12 +703,12 @@ class TestOpsCli:
     def test_describe_and_gc(self, tmp_path, capsys):
         root = str(tmp_path)
         store = CompileStore(root)
-        for expr in _exprs(3, seed=4):
-            store.publish(expr, _compile(expr))
+        for pair in _pairs(3, seed=4):
+            store.publish_verdict(*pair, _RESULT)
         # A stale pipeline version's directory, to be gc'd.
-        stale_dir = tmp_path / ("e" * 64) / "ab"
+        stale_dir = tmp_path / ("e" * 64) / "ff"
         stale_dir.mkdir(parents=True)
-        (stale_dir / ("f" * 64 + ".wfa")).write_bytes(b"junk")
+        (stale_dir / ("f" * 64 + "-" + "f" * 64 + ".verdict")).write_bytes(b"junk")
 
         assert store_cli(["describe", root]) == 0
         description = json.loads(capsys.readouterr().out)

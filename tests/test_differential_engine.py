@@ -10,7 +10,7 @@ seeded 203-pair corpus is decided by
     no state whatsoever carries between queries), and
 (c) a **store-served** engine (``store=``) answering entirely out of a
     :class:`~repro.engine.store.CompileStore` another engine populated —
-    zero parent compilations, every automaton deserialized from disk,
+    zero compilations and zero decisions, every verdict read from disk,
 
 and all of them must produce *identical* verdicts — including the
 counterexample word and the deciding reason, compared byte-for-byte on the
@@ -105,8 +105,8 @@ def nocache_verdicts(corpus):
 
 @pytest.fixture(scope="module")
 def store_served_verdicts(corpus, tmp_path_factory):
-    """(c) The shared compile store: a publisher engine fills a store, a
-    *fresh* engine answers the whole corpus from it with zero parent
+    """(c) The shared verdict store: a publisher engine fills a store, a
+    *fresh* engine answers the whole corpus from it with zero
     compilations — the fleet-warm path of :mod:`repro.engine.store`."""
     root = str(tmp_path_factory.mktemp("diff-store"))
     with NKAEngine("diff-store-pub", store=root) as publisher:
@@ -118,106 +118,11 @@ def store_served_verdicts(corpus, tmp_path_factory):
             f"{served.compilations} compilations despite a populated store"
         )
         # The verdict tier answers the repeat batch outright: published
-        # *verdicts* are served at plan time, so not even a Tzeng run —
-        # or a WFA read — happens on the repeat path.
+        # verdicts are served at plan time, so not even a Tzeng run
+        # happens on the repeat path.
         assert served.stats()["decisions"] == 0
         assert served.stats()["verdicts"]["store_hits"] > 0
     return verdicts
-
-
-def _chain_family(letters, factors, count, seed):
-    """``count`` distinct-but-equivalent re-associations of one product,
-    plus one refuting tail expression.
-
-    Associativity makes every binary re-association of the same factor
-    sequence denote the same series, so the family seeds a ``count``-sized
-    equivalence class; the tail appends an extra letter, refuting against
-    every member with one shared witness.
-    """
-    import random
-
-    from repro.core.expr import sym
-
-    rng = random.Random(seed)
-    syms = [sym(letters[i % len(letters)] + str(i)) for i in range(factors)]
-
-    def associate(lo, hi):
-        if hi - lo == 1:
-            return syms[lo]
-        split = rng.randint(lo + 1, hi - 1)
-        return associate(lo, split) * associate(split, hi)
-
-    family = []
-    seen = set()
-    while len(family) < count:
-        expr = associate(0, factors)
-        if expr not in seen:
-            seen.add(expr)
-            family.append(expr)
-    tail = family[0] * sym("tail")
-    return family, tail
-
-
-@pytest.fixture(scope="module")
-def chain():
-    family, tail = _chain_family(("a", "b", "c"), factors=8, count=6, seed=77)
-    adjacent = [(family[i], family[i + 1]) for i in range(len(family) - 1)]
-    adjacent.append((family[0], tail))
-    closure = [
-        (family[i], family[j])
-        for i in range(len(family))
-        for j in range(i + 2, len(family))
-    ]
-    closure.extend((member, tail) for member in family[1:])
-    return adjacent, closure
-
-
-def test_inferred_verdicts_byte_identical_modulo_reason(corpus, chain):
-    """(d) The inference tier: ``infer_verdicts=True`` over the corpus plus
-    seeded transitive chains.  The seeding batch decides corpus + adjacent
-    chain pairs; the closure batch is then answered *entirely* by the
-    union–find — zero decisions, zero compilations — and every verdict
-    must be byte-identical to a direct decision modulo the canonical
-    ``inferred:`` reason tag, with every inferred counterexample word
-    re-verified against both series."""
-    adjacent, closure = chain
-    inferring = NKAEngine("diff-infer", infer_verdicts=True)
-    inferring.equal_many_detailed(corpus + adjacent)
-    decided = inferring.stats()["decisions"]
-    compiled = inferring.compilations
-    inferred = inferring.equal_many_detailed(closure)
-    assert inferring.stats()["decisions"] == decided, "closure ran Tzeng"
-    assert inferring.compilations == compiled, "closure compiled something"
-    stats = inferring.stats()["verdicts"]
-    assert stats["inferred_equal"] > 0 and stats["inferred_refuted"] > 0
-
-    oracle = NKAEngine("diff-infer-oracle", infer_verdicts=False)
-    oracle.equal_many_detailed(corpus + adjacent)
-    direct = oracle.equal_many_detailed(closure)
-
-    for index, (fast, slow) in enumerate(zip(inferred, direct)):
-        assert fast.equal == slow.equal, f"closure pair #{index}"
-        assert fast.counterexample == slow.counterexample, f"closure pair #{index}"
-        assert fast.reason.startswith("inferred:"), fast.reason
-        witness = fast.counterexample
-        if witness is not None:
-            lhs, rhs = _series_pair(*closure[index], len(witness))
-            assert lhs.get(witness, ZERO) != rhs.get(witness, ZERO), (
-                f"inferred witness does not distinguish closure pair #{index}"
-            )
-
-    # Byte-identity modulo the reason tag: re-tag and compare pickles.
-    from repro.automata.equivalence import EquivalenceResult
-
-    for index, (fast, slow) in enumerate(zip(inferred, direct)):
-        retagged = EquivalenceResult(
-            equal=fast.equal,
-            counterexample=fast.counterexample,
-            reason=slow.reason,
-        )
-        assert pickle.dumps(retagged) == pickle.dumps(slow), (
-            f"closure pair #{index} differs beyond the reason tag"
-        )
 
 
 def _series_pair(left, right, length):
@@ -266,13 +171,18 @@ def test_sequential_verdicts_agree_with_series_oracle(corpus, sequential_verdict
             assert not separates, f"pair #{index}: {word} precedes witness {witness}"
 
 
-def test_inference_off_is_the_default_and_oracle_equal(corpus):
-    """``REPRO_VERDICT_INFER`` unset → inference off; verdicts unchanged."""
+def test_inference_off_is_the_default_and_oracle_equal(
+    corpus, sequential_verdicts, nocache_verdicts
+):
+    """Inference is off and cannot be switched on: every verdict is a
+    direct decision, with no ``inferred:`` reason anywhere."""
     engine = NKAEngine("diff-infer-default")
     assert engine.stats()["verdicts"]["infer_enabled"] is False
-    toggled = NKAEngine("diff-infer-toggle")
-    toggled.configure(infer_verdicts=True)
-    assert toggled.stats()["verdicts"]["infer_enabled"] is True
+    with pytest.raises(TypeError):
+        engine.configure(infer_verdicts=True)
+    for sequential, oracle in zip(sequential_verdicts, nocache_verdicts):
+        assert not sequential.reason.startswith("inferred")
+        assert pickle.dumps(sequential) == pickle.dumps(oracle)
 
 
 def test_corpus_is_the_mandated_200_pairs(corpus):
