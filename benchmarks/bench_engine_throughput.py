@@ -1,4 +1,4 @@
-"""ENGINE — batched decision throughput: planner + warm start + verdict store.
+"""ENGINE — batched decision throughput: planner + verdict store.
 
 The ROADMAP north-star is a serving system: many related equality queries
 arriving in batches, answered from warm caches where possible.  This bench
@@ -9,8 +9,6 @@ batch API (reimplemented below as the baseline):
   path compiled everything over the whole batch's *union* alphabet, so
   every Tzeng advance paid for letters the pair never mentions), and
   cheapest-first ordering (``engine_cold``, one fresh engine per round);
-* **warm start** — a fresh engine loaded from a persisted warm state must
-  answer the whole batch with *zero* compilations;
 * **cold compile** — a fresh engine compiles then decides the batch
   (``cold``); the cold compile must take no longer than the numpy cold
   compile of the ε-closure pipeline the position automaton replaced
@@ -20,7 +18,8 @@ batch API (reimplemented below as the baseline):
   decides the batch and publishes every verdict, the second
   (``store_served``, a replica) must answer the same batch with *zero*
   compilations and *zero* decisions (``--check``); store hit/publish
-  counters land in the JSON.
+  counters land in the JSON.  This is also the warm start: a fresh engine
+  that mounts a populated store.
 
 The baseline below is a faithful reimplementation of the PR 3 sequential
 ``nka_equal_many``: union-alphabet compilation + the dense-iteration Tzeng
@@ -67,7 +66,8 @@ from repro.automata.wfa import expr_to_wfa
 from repro.core.decision import clear_caches
 from repro.core.expr import Product, Star, Sum, alphabet, product_factors
 from repro.engine import NKAEngine
-from repro.linalg import RowSpace, reachable
+from repro.automata.nfa import reachable
+from repro.linalg import RowSpace
 
 # ``kernel_numpy_cold.compile_seconds`` of the Thompson + ε-closure
 # pipeline, the last one with a numpy star kernel: BENCH_engine.json
@@ -87,10 +87,9 @@ def _pr3_reachable_count(wfa) -> int:
 def _pr3_vector_matrix(vector, offset, wfa, letter):
     n = wfa.num_states
     result = [0] * n
-    matrix = wfa.matrices.get(letter)
-    if matrix is None:
+    rows = wfa.matrices.get(letter)
+    if rows is None:
         return result
-    rows = matrix.rows
     for i in range(n):
         value = vector[offset + i]
         if not value:
@@ -151,8 +150,9 @@ def _pr3_wfa_equal(left, right) -> bool:
             or any(w.is_infinite for w in wfa.final)
             or any(
                 w.is_infinite
-                for m in wfa.matrices.values()
-                for _i, _j, w in m.entries()
+                for rows in wfa.matrices.values()
+                for row in rows.values()
+                for w in row.values()
             )
         )
 
@@ -286,8 +286,8 @@ def run_suite(total_pairs, json_path=None, check=False, rounds=3):
             best_cold = (seconds, candidate, candidate_verdicts)
     results["configs"]["pr3_sequential"] = {"seconds": round(baseline_seconds, 4)}
 
-    best_seconds, warm_source, verdicts = best_cold
-    stats = warm_source.stats()
+    best_seconds, best_engine, verdicts = best_cold
+    stats = best_engine.stats()
     results["configs"]["engine_cold"] = {
         "seconds": round(best_seconds, 4),
         "speedup_vs_pr3": round(baseline_seconds / best_seconds, 2),
@@ -329,33 +329,6 @@ def run_suite(total_pairs, json_path=None, check=False, rounds=3):
     }
     verdicts_by_config["cold"] = cold_best["verdicts"]
 
-    # Warm start: persist the first engine's caches, reload into a fresh
-    # session, answer the whole batch again.
-    import tempfile, os
-
-    state_descriptor, state_path = tempfile.mkstemp(suffix=".nka-warm")
-    os.close(state_descriptor)  # save_warm_state replaces the file atomically
-    warm_source.save_warm_state(state_path)
-    warm_seconds = float("inf")
-    warmed = warm_verdicts = None
-    for _ in range(rounds):
-        candidate = NKAEngine("bench-warm", warm_state=state_path)
-        started = time.perf_counter()
-        candidate_verdicts = candidate.equal_many(batch)
-        seconds = time.perf_counter() - started
-        if seconds < warm_seconds:
-            warm_seconds, warmed, warm_verdicts = seconds, candidate, candidate_verdicts
-    warm_stats = warmed.stats()
-    results["configs"]["engine_warm_reload"] = {
-        "seconds": round(warm_seconds, 4),
-        "speedup_vs_pr3": round(baseline_seconds / warm_seconds, 2),
-        "compilations": warm_stats["compilations"],
-        "planner": warm_stats["planner"],
-        "state_bytes": os.path.getsize(state_path),
-    }
-    verdicts_by_config["warm"] = warm_verdicts
-    os.unlink(state_path)
-
     # -- verdict store: fleet-wide reuse of decisions ----------------------
     # Two fresh engines against one shared store directory: the *cold* one
     # faces an empty store (compiles, decides and publishes every verdict),
@@ -364,6 +337,7 @@ def run_suite(total_pairs, json_path=None, check=False, rounds=3):
     # Best-of-rounds per label, store wiped before each cold round so a
     # round never rides the previous round's publishes.
     import shutil
+    import tempfile
 
     store_root = tempfile.mkdtemp(suffix=".nka-store")
     store_best = {
@@ -402,9 +376,6 @@ def run_suite(total_pairs, json_path=None, check=False, rounds=3):
             json.dump(results, handle, indent=2, sort_keys=True)
 
     if check:
-        assert results["configs"]["engine_warm_reload"]["compilations"] == 0, (
-            "warm-state reload compiled automata"
-        )
         # The compile gate: the pure-python position automaton compiles
         # the batch no slower than the numpy ε-closure pipeline did.
         cold_compile = results["configs"]["cold"]["compile_seconds"]
@@ -455,17 +426,6 @@ def test_engine_cold_not_slower_than_pr3(small_suite):
     )
 
 
-def test_engine_warm_reload_zero_compilations(small_suite):
-    warm = small_suite["configs"]["engine_warm_reload"]
-    assert warm["compilations"] == 0
-    assert warm["planner"]["tasks"] == 0
-    report(
-        "ENGINE/warm-start",
-        "persisted state answers a known batch with zero compilations",
-        f"warm reload {warm['seconds']}s, speedup {warm['speedup_vs_pr3']}×",
-    )
-
-
 def test_engine_store_served_zero_compilations(small_suite):
     served = small_suite["configs"]["store_served"]
     cold = small_suite["configs"]["store_cold"]
@@ -487,8 +447,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=240)
     parser.add_argument("--json", type=str, default=None)
     parser.add_argument("--check", action="store_true",
-                        help="assert warm=0 compiles, the compile gate "
-                             "and the verdict-store gate")
+                        help="assert the compile gate and the "
+                             "verdict-store gate")
     args = parser.parse_args(argv)
     results = run_suite(
         total_pairs=args.pairs,

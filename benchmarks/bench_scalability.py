@@ -15,12 +15,12 @@ This bench quantifies that claim on the loop-unrolling equivalence:
 Expected shape: algebraic flat, semantic exploding; the crossover sits at
 1–2 qubits on this machine.
 
-A second axis (PR 2): **dense vs sparse linear algebra**.  The decision
-pipeline runs on the semiring-generic sparse backend (:mod:`repro.linalg`);
-this bench sweeps sparse automata up to ≥200 states and times full
-weighted-automaton equivalence on both the sparse kernels and a dense
-``Fraction`` Tzeng baseline, asserting the verdicts never change.  Run
-directly for a JSON report::
+A second axis: **dense vs sparse linear algebra**.  The decision pipeline
+keeps each letter's transition matrix as sparse dict rows and Tzeng's
+basis as a sparse integer row space (:mod:`repro.linalg`); this bench
+sweeps sparse automata up to ≥200 states and times full weighted-automaton
+equivalence on both the pipeline and a dense ``Fraction`` Tzeng baseline,
+asserting the verdicts never change.  Run directly for a JSON report::
 
     PYTHONPATH=src python benchmarks/bench_scalability.py \
         --sizes 25 50 100 200 --json BENCH_scalability.json
@@ -159,13 +159,12 @@ def spread_wfa(n: int, permutation, weight_bump=None) -> WFA:
     )
     wfa.initial[permutation[0]] = ONE
     wfa.final[permutation[n - 1]] = ONE
-    step, spread = wfa.matrix("b"), wfa.matrix("a")
     for i in range(n - 1):
         weight = ExtNat(2) if weight_bump == i else ONE
-        spread.add_entry(permutation[i], permutation[i + 1], weight)
+        wfa.set_weight("a", permutation[i], permutation[i + 1], weight)
         if i + 2 < n:
-            spread.add_entry(permutation[i], permutation[i + 2], ONE)
-        step.add_entry(permutation[i], permutation[i + 1], ONE)
+            wfa.set_weight("a", permutation[i], permutation[i + 2], ONE)
+        wfa.set_weight("b", permutation[i], permutation[i + 1], ONE)
     return wfa
 
 
@@ -175,9 +174,12 @@ def _dense_tzeng_equal(left: WFA, right: WFA) -> bool:
     production basis."""
     n_left = left.num_states
     dense = {
-        (side, letter): matrix.to_dense()
+        (side, letter): [
+            [rows.get(i, {}).get(j, ZERO) for j in range(wfa.num_states)]
+            for i in range(wfa.num_states)
+        ]
         for side, wfa in (("L", left), ("R", right))
-        for letter, matrix in wfa.matrices.items()
+        for letter, rows in wfa.matrices.items()
     }
 
     def advance(vector, side, wfa, letter, offset):

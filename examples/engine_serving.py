@@ -22,10 +22,14 @@ now sits on top, :class:`repro.serving.NKAService`:
 5. **an HTTP front door** — ``POST /equal`` and ``GET /stats`` on a
    stdlib asyncio server;
 6. **graceful drain** — ``close()`` answers everything admitted, then
-   closes every tenant engine.
+   closes every tenant engine;
+7. **warm start after a restart** — a new service whose tenant mounts the
+   same verdict store answers what the old one decided with zero
+   compilations and zero decisions: the store is the warm state.
 
-The engine-level levers underneath (warm-state snapshots, the
-content-addressed verdict store) are walked through in ``benchmarks/bench_engine_throughput.py`` and
+The engine-level levers underneath (planning, the content-addressed
+verdict store) are walked through in
+``benchmarks/bench_engine_throughput.py`` and
 ``src/repro/engine/README.md``.
 """
 
@@ -179,6 +183,15 @@ async def walkthrough() -> None:
         await service.equal("ci", left, right)
     except Exception as error:
         print(f"  post-close admission: {type(error).__name__} ({error})")
+
+    section("7. Warm start after a restart: mount the store")
+    restarted = await NKAService([TenantConfig("replica-a", store=store_root)]).start()
+    await restarted.equal_detailed("replica-a", left, right)
+    engine = restarted.stats()["tenants"]["replica-a"]["engine"]
+    print(f"  fresh replica-a: {engine['compilations']} compilations, "
+          f"{engine['decisions']} Tzeng runs, "
+          f"{engine['verdicts']['store_hits']} verdict off the store")
+    await restarted.close()
 
     from repro.engine import gc_store
 

@@ -8,12 +8,11 @@ Programs via Non-idempotent Kleene Algebra* (PLDI 2022):
   procedure for ``⊢NKA e = f`` (Theorem A.6 / Remark 2.1);
 * :mod:`repro.engine` — session-scoped decision engines
   (:class:`~repro.engine.NKAEngine`): isolated caches, batch query
-  planning, a shared verdict store, persistent warm start, metrics;
+  planning, a shared verdict store (also the warm start), metrics;
 * :mod:`repro.series` — formal & rational power series over ``N̄``;
-* :mod:`repro.linalg` — semiring-generic sparse linear algebra (the
-  backend every matrix/vector computation in the pipeline compiles to);
+* :mod:`repro.linalg` — Tzeng's exact integer row space;
 * :mod:`repro.automata` — the weighted-automata substrate of the decision
-  procedure;
+  procedure (letter matrices as sparse dict rows);
 * :mod:`repro.quantum` — Hilbert spaces, superoperators, measurements;
 * :mod:`repro.pathmodel` — the quantum path model ``PO∞(H)`` / ``P(H)``
   (Section 3, Theorem 3.6);
@@ -33,9 +32,10 @@ Quickstart::
 Serving / batch workloads::
 
     from repro import NKAEngine
-    engine = NKAEngine("session")
-    engine.equal_many(pairs)                  # planned, deduped, cached
-    engine.save_warm_state("warm.pickle")     # cross-process warm start
+    engine = NKAEngine("session", store="nka-store")
+    engine.equal_many(pairs)                  # planned, deduped, published
+    # a fresh process mounting "nka-store" answers `pairs` with zero
+    # compilations and zero decisions
 """
 
 from repro.core import (

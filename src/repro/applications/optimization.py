@@ -364,10 +364,10 @@ def verify_rules(
     same encodings (cross-checks, refutation probes, user traffic), so
     ``precompile_encodings=True`` compiles each rule's two encodings into
     ``engine``'s cache (the process default when omitted) while the
-    catalogue is validated, and a later
-    :meth:`~repro.engine.NKAEngine.save_warm_state` captures them for the
-    next process.  Leave it off when no such follow-up traffic exists —
-    the compilation is real up-front work.
+    catalogue is validated.  (Only the session keeps them: what crosses
+    processes is the verdicts a store-backed engine publishes.)  Leave it
+    off when no such follow-up traffic exists — the compilation is real
+    up-front work.
     """
     if precompile_encodings:
         from repro.engine import default_engine

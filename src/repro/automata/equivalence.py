@@ -33,8 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.linalg import RowSpace, reachable
-from repro.automata.nfa import dfa_equivalent
+from repro.linalg import RowSpace
+from repro.automata.nfa import dfa_equivalent, reachable
 from repro.automata.wfa import (
     WFA,
     drop_infinite_weights,
@@ -120,9 +120,9 @@ class _TzengSide:
         # A support edge from a reachable state ends in a reachable state
         # by construction, so no target is dropped.
         self.tables: Dict[str, Table] = {}
-        for letter, matrix in wfa.matrices.items():
+        for letter, rows in wfa.matrices.items():
             table: Table = {}
-            for old_i, row in matrix.rows.items():
+            for old_i, row in rows.items():
                 new_i = index.get(old_i)
                 if new_i is None or not row:
                     continue
@@ -215,8 +215,9 @@ def _has_infinite_weight(wfa: WFA) -> bool:
         return True
     return any(
         weight.is_infinite
-        for matrix in wfa.matrices.values()
-        for _i, _j, weight in matrix.entries()
+        for rows in wfa.matrices.values()
+        for row in rows.values()
+        for weight in row.values()
     )
 
 

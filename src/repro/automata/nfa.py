@@ -9,12 +9,10 @@ with their complement (see :mod:`repro.automata.equivalence`).
 States are plain integers ``0..n-1``; alphabets are frozensets of strings
 (one string per letter, matching NKA symbol names).
 
-Reachability here is the Boolean-semiring instance of the shared sparse
-linear algebra (:mod:`repro.linalg`): each letter's transition relation is a
-``BOOL`` :class:`~repro.linalg.SparseMatrix`, stepping a state set is a
-sparse vector–matrix product, and emptiness is ``initial · A*`` for the
-union adjacency — the same algorithms the ``N̄``-weighted pipeline runs,
-at Boolean weights.
+Boolean relations are plain rows: ``{state: set of successors}``.  Each
+letter's transition relation is one such dict, stepping a state set unions
+the rows it touches, and :func:`reachable` is the worklist fixpoint over
+rows that trimming, the Tzeng projection and DFA emptiness share.
 """
 
 from __future__ import annotations
@@ -23,9 +21,21 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.linalg import BOOL, SparseMatrix, reachable
+__all__ = ["NFA", "DFA", "determinize", "dfa_equivalent", "reachable"]
 
-__all__ = ["NFA", "DFA", "determinize", "dfa_equivalent"]
+
+def reachable(rows: Dict[int, Iterable[int]], seeds: Iterable[int]) -> Set[int]:
+    """States reachable from ``seeds`` along ``rows`` (state → successors),
+    by a worklist traversal."""
+    seen: Set[int] = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        state = frontier.pop()
+        for succ in rows.get(state, ()):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return seen
 
 
 @dataclass
@@ -45,32 +55,33 @@ class NFA:
     transitions: Dict[Tuple[int, str], Set[int]] = field(default_factory=dict)
     initial: Set[int] = field(default_factory=set)
     accepting: Set[int] = field(default_factory=set)
-    _letter_matrices: Dict[str, SparseMatrix] = field(
+    _letter_rows: Dict[str, Dict[int, Set[int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def add_transition(self, source: int, letter: str, target: int) -> None:
         self.transitions.setdefault((source, letter), set()).add(target)
-        self._letter_matrices.pop(letter, None)
+        self._letter_rows.pop(letter, None)
 
-    def letter_matrix(self, letter: str) -> SparseMatrix:
-        """The letter's transition relation as a Boolean sparse matrix.
+    def letter_rows(self, letter: str) -> Dict[int, Set[int]]:
+        """The letter's transition relation as ``{state: successors}``.
 
         Built lazily and cached (``add_transition`` invalidates per letter);
         the subset construction steps every explored state set through these
-        rows, so sharing the adjacency across calls matters.
+        rows, so sharing them across calls matters.
         """
-        cached = self._letter_matrices.get(letter)
+        cached = self._letter_rows.get(letter)
         if cached is None:
-            cached = SparseMatrix(self.num_states, self.num_states, BOOL)
-            for (state, tr_letter), targets in self.transitions.items():
-                if tr_letter == letter and targets:
-                    cached.rows[state] = dict.fromkeys(targets, True)
-            self._letter_matrices[letter] = cached
+            cached = {
+                state: set(targets)
+                for (state, tr_letter), targets in self.transitions.items()
+                if tr_letter == letter and targets
+            }
+            self._letter_rows[letter] = cached
         return cached
 
     def successors(self, states: Iterable[int], letter: str) -> FrozenSet[int]:
-        rows = self.letter_matrix(letter).rows
+        rows = self.letter_rows(letter)
         result: Set[int] = set()
         for state in states:
             row = rows.get(state)
@@ -101,21 +112,6 @@ class DFA:
     transitions: Dict[Tuple[int, str], int]
     initial: int
     accepting: Set[int]
-
-    def __getstate__(self):
-        # DFAs ride inside pickled WFAs (the ``_support_dfa`` memo), whose
-        # pickled bytes must be deterministic — see ``WFA.__getstate__``.
-        # Set iteration order is construction-history dependent, so the
-        # set-valued fields serialize sorted.
-        state = dict(self.__dict__)
-        state["alphabet"] = sorted(state["alphabet"])
-        state["accepting"] = sorted(state["accepting"])
-        return state
-
-    def __setstate__(self, state):
-        state["alphabet"] = frozenset(state["alphabet"])
-        state["accepting"] = set(state["accepting"])
-        self.__dict__.update(state)
 
     def step(self, state: int, letter: str) -> int:
         return self.transitions[(state, letter)]
@@ -167,15 +163,11 @@ class DFA:
         )
 
     def is_empty(self) -> bool:
-        """Whether the accepted language is empty.
-
-        Boolean-semiring reachability over the union adjacency of all
-        letters (``initial · A*`` in the ``BOOL`` instance of the sparse
-        kernel), intersected with the accepting set.
-        """
-        adjacency = SparseMatrix(self.num_states, self.num_states, BOOL)
+        """Whether the accepted language is empty: no accepting state is
+        reachable over the union of all letters' transitions."""
+        adjacency: Dict[int, Set[int]] = {}
         for (state, _letter), successor in self.transitions.items():
-            adjacency.rows.setdefault(state, {})[successor] = True
+            adjacency.setdefault(state, set()).add(successor)
         return not (reachable(adjacency, (self.initial,)) & self.accepting)
 
 

@@ -5,9 +5,9 @@ behaviour of a finite automaton whose transition, initial and final weights
 live in ``N̄``.  This module provides:
 
 * :class:`WFA` — the automaton representation (vector/matrix form), with
-  transition matrices stored as :class:`repro.linalg.SparseMatrix` over the
-  ``EXT_NAT`` semiring, so every pipeline stage walks supports instead of
-  n² cells;
+  each letter's transition matrix stored as sparse dict rows
+  (``source → target → weight``, non-zero weights only), so every pipeline
+  stage walks supports instead of n² cells;
 * :func:`expr_to_wfa` — compilation of an NKA expression straight to its
   ε-free *weighted position automaton*: Glushkov's construction (one state
   per letter occurrence, plus an initial state) with ``N̄`` multiplicities,
@@ -29,12 +29,12 @@ The weight of a word ``w = a1…ak`` is ``α · M(a1) · … · M(ak) · η`` wh
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.core.expr import Expr, One, Product, Star, Sum, Symbol, Zero
 from repro.core.semiring import ExtNat, ONE, ZERO
-from repro.linalg import BOOL, EXT_NAT, SparseMatrix, reachable, vec_mat
-from repro.automata.nfa import DFA, NFA, determinize
+from repro.automata.nfa import DFA, NFA, determinize, reachable
+from repro.util.errors import DecisionError
 
 __all__ = [
     "WFA",
@@ -42,39 +42,45 @@ __all__ = [
     "infinity_support_nfa",
     "drop_infinite_weights",
     "restrict_to_dfa",
+    "vec_mat",
 ]
+
+# One letter's transition matrix: source → target → non-zero weight.
+Rows = Dict[int, Dict[int, ExtNat]]
+
+
+def vec_mat(vector: Dict[int, ExtNat], rows: Rows) -> Dict[int, ExtNat]:
+    """Sparse row vector × letter matrix in ``N̄``: walks only the rows of
+    the vector's support."""
+    result: Dict[int, ExtNat] = {}
+    for i, coeff in vector.items():
+        row = rows.get(i)
+        if row:
+            for j, value in row.items():
+                term = coeff * value
+                existing = result.get(j)
+                result[j] = term if existing is None else existing + term
+    return result
 
 
 @dataclass
 class WFA:
     """A weighted finite automaton over ``N̄`` in vector/matrix form.
 
-    ``matrices`` maps each letter to a sparse ``num_states × num_states``
-    transition matrix (:class:`repro.linalg.SparseMatrix` over ``EXT_NAT``);
-    ``initial``/``final`` stay dense lists of length ``num_states``.
+    ``matrices`` maps each letter to its ``num_states × num_states``
+    transition matrix as sparse rows (``matrices[a][i][j]`` is the non-zero
+    weight of ``i → j`` on ``a``); ``initial``/``final`` stay dense lists of
+    length ``num_states``.  The pipeline's constructions write rows
+    directly (their states are in range by construction); hand-built
+    automata go through :meth:`set_weight`, the one checked writer.
     """
 
     num_states: int
     alphabet: FrozenSet[str]
     initial: List[ExtNat]
     final: List[ExtNat]
-    matrices: Dict[str, SparseMatrix] = field(default_factory=dict)
+    matrices: Dict[str, Rows] = field(default_factory=dict)
     _support_dfa: "DFA" = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self):
-        # A frozenset's iteration order depends on its construction
-        # history, so the default pickle of two equal automata — or of one
-        # automaton before and after a store round trip — need not be
-        # byte-identical.  Pickled-byte identity of WFAs is a conformance
-        # surface (the compile store, warm state, the differential
-        # suites), so set-valued fields serialize in sorted order.
-        state = dict(self.__dict__)
-        state["alphabet"] = sorted(state["alphabet"])
-        return state
-
-    def __setstate__(self, state):
-        state["alphabet"] = frozenset(state["alphabet"])
-        self.__dict__.update(state)
 
     def support_dfa(self) -> DFA:
         """The determinized infinity-support automaton, computed once.
@@ -87,12 +93,28 @@ class WFA:
             self._support_dfa = determinize(infinity_support_nfa(self))
         return self._support_dfa
 
-    def matrix(self, letter: str) -> SparseMatrix:
-        if letter not in self.matrices:
-            self.matrices[letter] = SparseMatrix(
-                self.num_states, self.num_states, EXT_NAT
+    def set_weight(self, letter: str, source: int, target: int, weight: ExtNat) -> None:
+        """Set the weight of ``source → target`` on ``letter`` (zero removes it).
+
+        States outside ``range(num_states)`` raise :class:`DecisionError`,
+        so a mis-built automaton fails here rather than as an ``IndexError``
+        deep inside a decision.
+        """
+        n = self.num_states
+        if not (0 <= source < n and 0 <= target < n):
+            raise DecisionError(
+                f"transition ({source}, {target}) on {letter!r} is out of "
+                f"range for {n} states"
             )
-        return self.matrices[letter]
+        rows = self.matrices.setdefault(letter, {})
+        if not weight.is_zero:
+            rows.setdefault(source, {})[target] = weight
+            return
+        row = rows.get(source)
+        if row is not None:
+            row.pop(target, None)
+            if not row:
+                del rows[source]
 
     def weight(self, word: Sequence[str]) -> ExtNat:
         """The series coefficient of ``word`` (exact ``N̄`` arithmetic).
@@ -105,38 +127,36 @@ class WFA:
             i: value for i, value in enumerate(self.initial) if not value.is_zero
         }
         for letter in word:
-            matrix = self.matrices.get(letter)
-            if matrix is None or not row:
+            rows = self.matrices.get(letter)
+            if rows is None or not row:
                 return ZERO
-            row = vec_mat(row, matrix)
+            row = vec_mat(row, rows)
         total = ZERO
         for i, value in row.items():
             total = total + value * self.final[i]
         return total
 
-    def _support_adjacency(self) -> SparseMatrix:
-        """Boolean union of the letter supports (edge iff some weight ≠ 0)."""
-        adjacency = SparseMatrix(self.num_states, self.num_states, BOOL)
-        for matrix in self.matrices.values():
-            for i, row in matrix.rows.items():
-                target = adjacency.rows.setdefault(i, {})
-                for j in row:
-                    target[j] = True
+    def _support_adjacency(self) -> Dict[int, Set[int]]:
+        """Union of the letter supports: ``i → {j : some weight i→j ≠ 0}``."""
+        adjacency: Dict[int, Set[int]] = {}
+        for rows in self.matrices.values():
+            for i, row in rows.items():
+                adjacency.setdefault(i, set()).update(row)
         return adjacency
 
     def trim(self) -> "WFA":
-        """Remove states that are unreachable or cannot reach a final weight.
-
-        Both directions are Boolean-semiring reachability over the support
-        adjacency — the ``BOOL`` instance of the shared sparse kernel.
-        """
+        """Remove states that are unreachable or cannot reach a final weight
+        (reachability over the support adjacency and its reverse)."""
         adjacency = self._support_adjacency()
+        reverse: Dict[int, Set[int]] = {}
+        for i, targets in adjacency.items():
+            for j in targets:
+                reverse.setdefault(j, set()).add(i)
         forward = reachable(
             adjacency, (i for i, w in enumerate(self.initial) if not w.is_zero)
         )
         backward = reachable(
-            adjacency.transpose(),
-            (i for i, w in enumerate(self.final) if not w.is_zero),
+            reverse, (i for i, w in enumerate(self.final) if not w.is_zero)
         )
         keep = sorted(forward & backward)
         if len(keep) == self.num_states:
@@ -149,17 +169,17 @@ class WFA:
             initial=[self.initial[old] for old in keep],
             final=[self.final[old] for old in keep],
         )
-        for letter, matrix in self.matrices.items():
-            new_matrix = SparseMatrix(len(keep), len(keep), EXT_NAT)
-            for old_i, row in matrix.rows.items():
+        for letter, rows in self.matrices.items():
+            new_rows: Rows = {}
+            for old_i, row in rows.items():
                 if old_i not in kept:
                     continue
                 picked = {
                     index[old_j]: value for old_j, value in row.items() if old_j in kept
                 }
                 if picked:
-                    new_matrix.rows[index[old_i]] = picked
-            trimmed.matrices[letter] = new_matrix
+                    new_rows[index[old_i]] = picked
+            trimmed.matrices[letter] = new_rows
         return trimmed
 
 
@@ -287,9 +307,10 @@ def expr_to_wfa(expr: Expr, extra_alphabet: FrozenSet[str] = frozenset()) -> WFA
         initial=[ONE] + [ZERO] * (n - 1),
         final=final,
     )
+    matrices = wfa.matrices
     for source, row in [(0, first), *follow.items()]:
         for p, value in row.items():
-            wfa.matrix(labels[p]).rows.setdefault(source, {})[p] = value
+            matrices.setdefault(labels[p], {}).setdefault(source, {})[p] = value
     return wfa.trim()
 
 
@@ -318,12 +339,13 @@ def infinity_support_nfa(wfa: WFA) -> NFA:
             if weight.is_infinite:
                 nfa.accepting.add(pack(state, False))
             nfa.accepting.add(pack(state, True))
-    for letter, matrix in wfa.matrices.items():
-        for i, j, weight in matrix.entries():
-            for bit in (False, True):
-                nfa.add_transition(
-                    pack(i, bit), letter, pack(j, bit or weight.is_infinite)
-                )
+    for letter, rows in wfa.matrices.items():
+        for i, row in rows.items():
+            for j, weight in row.items():
+                for bit in (False, True):
+                    nfa.add_transition(
+                        pack(i, bit), letter, pack(j, bit or weight.is_infinite)
+                    )
     return nfa
 
 
@@ -341,12 +363,12 @@ def drop_infinite_weights(wfa: WFA) -> WFA:
         initial=[ZERO if w.is_infinite else w for w in wfa.initial],
         final=[ZERO if w.is_infinite else w for w in wfa.final],
     )
-    for letter, matrix in wfa.matrices.items():
-        finite = SparseMatrix(wfa.num_states, wfa.num_states, EXT_NAT)
-        for i, row in matrix.rows.items():
+    for letter, rows in wfa.matrices.items():
+        finite: Rows = {}
+        for i, row in rows.items():
             picked = {j: w for j, w in row.items() if not w.is_infinite}
             if picked:
-                finite.rows[i] = picked
+                finite[i] = picked
         cleaned.matrices[letter] = finite
     return cleaned
 
@@ -368,8 +390,8 @@ def restrict_to_dfa(wfa: WFA, dfa: DFA) -> WFA:
     weight.
     """
     letters = [
-        (letter, matrix.rows)
-        for letter, matrix in wfa.matrices.items()
+        (letter, rows)
+        for letter, rows in wfa.matrices.items()
         if letter in dfa.alphabet
     ]
     index: Dict[Tuple[int, int], int] = {}
@@ -412,6 +434,5 @@ def restrict_to_dfa(wfa: WFA, dfa: DFA) -> WFA:
             for state, dstate in pairs
         ],
     )
-    for letter, rows in product_rows.items():
-        product.matrix(letter).rows = rows
+    product.matrices.update(product_rows)
     return product.trim()

@@ -53,9 +53,8 @@ differently-sized caches — construct their own
 :class:`~repro.engine.NKAEngine`; for batches, the engine's planner dedupes
 by interned identity before :meth:`~repro.engine.NKAEngine.equal_many` runs
 the remaining tasks on the session's caches, and
-:meth:`~repro.engine.NKAEngine.save_warm_state` /
-``NKAEngine(warm_state=…)`` persist the caches across processes for
-serve-mode warm start.
+``NKAEngine(store=…)`` shares decided verdicts across processes through a
+verdict store — a fresh process that mounts it starts warm.
 """
 
 from __future__ import annotations

@@ -359,18 +359,29 @@ def product_of(factors: Sequence[Expr]) -> Expr:
     return reduce(Product, factors)
 
 
+def _flatten(expr: Expr, kind: type) -> List[Expr]:
+    """The maximal ``kind`` (``Sum``/``Product``) chain under ``expr``,
+    left to right, without recursion."""
+    items: List[Expr] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            items.append(node)
+    return items
+
+
 def sum_terms(expr: Expr) -> List[Expr]:
     """Flatten nested binary sums into a list of non-``Sum`` terms."""
-    if isinstance(expr, Sum):
-        return sum_terms(expr.left) + sum_terms(expr.right)
-    return [expr]
+    return _flatten(expr, Sum)
 
 
 def product_factors(expr: Expr) -> List[Expr]:
     """Flatten nested binary products into a list of non-``Product`` factors."""
-    if isinstance(expr, Product):
-        return product_factors(expr.left) + product_factors(expr.right)
-    return [expr]
+    return _flatten(expr, Product)
 
 
 _ALPHABET_CACHE = LRUCache("expr.alphabet", maxsize=1 << 16)
@@ -439,20 +450,43 @@ def _precedence(expr: Expr) -> int:
     return 3
 
 
-def _render(expr: Expr, parent_prec: int = 0) -> str:
-    prec = _precedence(expr)
-    if isinstance(expr, (Zero, One, Symbol)):
-        return str(expr)  # atoms never need parentheses
-    if isinstance(expr, Star):
-        body = _render(expr.body, 4)
-        text = f"{body}*"
-        return text if parent_prec <= 3 else f"({text})"
-    if isinstance(expr, Sum):
-        text = " + ".join(_render(t, prec) for t in sum_terms(expr))
-    elif isinstance(expr, Product):
-        text = " ".join(_render(f, prec + 1) for f in product_factors(expr))
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown expression node {expr!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+def _render(expr: Expr) -> str:
+    """Surface syntax with minimal parentheses: ``+`` binds loosest, then
+    juxtaposition, then ``*``; sums and products print flattened.
+
+    The walk keeps its own stack of pending nodes and literal pieces, so
+    expressions of any depth render.
+    """
+    pieces: List[str] = []
+    # Each entry is a literal piece or a (node, parent precedence) pair.
+    stack: List[Union[str, Tuple[Expr, int]]] = [(expr, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, parent_prec = item
+        if isinstance(node, (Zero, One, Symbol)):
+            pieces.append(str(node))  # atoms never need parentheses
+            continue
+        if isinstance(node, Star):
+            parts: List[Union[str, Tuple[Expr, int]]] = [(node.body, 4), "*"]
+            prec = 3
+        elif isinstance(node, Sum):
+            prec = 1
+            parts = []
+            for term in sum_terms(node):
+                parts += [" + ", (term, prec)]
+            del parts[0]
+        elif isinstance(node, Product):
+            prec = 2
+            parts = []
+            for factor in product_factors(node):
+                parts += [" ", (factor, prec + 1)]
+            del parts[0]
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown expression node {node!r}")
+        if prec < parent_prec:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(pieces)

@@ -3,19 +3,19 @@
 Public surface:
 
 * :class:`NKAEngine` — a session owning its compile/verdict caches, with a
-  query planner, in-process batch execution, persistent warm start and
-  unified metrics (:mod:`repro.engine.core`);
+  query planner, in-process batch execution and unified metrics
+  (:mod:`repro.engine.core`);
 * :func:`default_engine` — the process-wide session backing the classic
   :mod:`repro.core.decision` module-level API;
-* the persistence layer — :class:`WarmState`, :func:`pipeline_fingerprint`,
-  :class:`WarmStateError` / :class:`StaleWarmStateError`,
-  :func:`describe_warm_state` (:mod:`repro.engine.persist`);
 * the shared verdict store — :class:`~repro.engine.store.CompileStore`, a
   content-addressed directory of decided verdicts that many engines,
   processes and hosts read/write concurrently (``NKAEngine(store=...)`` /
   ``REPRO_COMPILE_STORE``), with :func:`describe_store` / :func:`gc_store`
   and a ``python -m repro.engine.store`` ops CLI
-  (:mod:`repro.engine.store`);
+  (:mod:`repro.engine.store`); it is also the warm start — a fresh process
+  that mounts a populated store compiles and decides nothing it has seen;
+* its addressing — :func:`pipeline_fingerprint` and
+  :class:`PersistError` (:mod:`repro.engine.persist`);
 * planner introspection types for tooling —
   :class:`~repro.engine.planner.BatchPlan`,
   :class:`~repro.engine.planner.PlanStats`.
@@ -24,12 +24,12 @@ Typical serve-mode use::
 
     from repro.engine import NKAEngine
 
-    with NKAEngine("serving") as engine:
+    with NKAEngine("serving", store="nka-store") as engine:
         verdicts = engine.equal_many(batch_of_pairs)  # planned + deduped
         more = engine.equal_many(next_batch)          # same warm caches
-        engine.save_warm_state("nka-warm.pickle")
     ...
-    with NKAEngine("serving", warm_state="nka-warm.pickle") as engine:
+    # later, in a fresh process: mount the same store
+    with NKAEngine("serving", store="nka-store") as engine:
         verdicts = engine.equal_many(batch_of_pairs)  # zero compilations
 
 See ``examples/engine_serving.py`` for the full walkthrough and
@@ -37,15 +37,7 @@ See ``examples/engine_serving.py`` for the full walkthrough and
 """
 
 from repro.engine.core import NKAEngine, default_engine, words_up_to
-from repro.engine.persist import (
-    StaleWarmStateError,
-    WarmState,
-    WarmStateError,
-    describe_warm_state,
-    load_warm_state,
-    pipeline_fingerprint,
-    save_warm_state,
-)
+from repro.engine.persist import PersistError, pipeline_fingerprint
 from repro.engine.planner import BatchPlan, PlannedQuery, PlanStats, plan_batch
 
 # The store's names resolve lazily (PEP 562): `python -m repro.engine.store`
@@ -82,11 +74,6 @@ __all__ = [
     "gc_store",
     "open_default_store",
     "verdict_pair_key",
-    "WarmState",
-    "WarmStateError",
-    "StaleWarmStateError",
+    "PersistError",
     "pipeline_fingerprint",
-    "save_warm_state",
-    "load_warm_state",
-    "describe_warm_state",
 ]

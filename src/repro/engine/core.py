@@ -4,7 +4,7 @@
 :mod:`repro.core.decision` — the compiled-automaton cache, the verdict
 cache, and their statistics — so multiple isolated sessions can coexist in
 one process: two engines never share verdicts, each has its own capacities,
-and each can be cleared, resized, persisted and inspected independently.
+and each can be cleared, resized and inspected independently.
 The classic module-level API (``nka_equal`` & friends) survives as a thin
 façade over the process's *default* engine, whose caches keep their
 historical names (``decision.wfa`` / ``decision.results``) in the global
@@ -18,10 +18,9 @@ What an engine adds over the bare pipeline:
   in order through the session's own caches;
 * **one verdict path** — pointer-equal → session verdict cache → shared
   verdict store (:mod:`repro.engine.store`) → compile and decide; every
-  decided verdict is cached symmetrically and offered to the store;
-* **persistent warm start** (:mod:`repro.engine.persist`) — caches
-  serialize to a fingerprint-versioned on-disk state, so a fresh process
-  answers a known workload with zero compilations;
+  decided verdict is cached symmetrically and offered to the store, so a
+  fresh process that mounts the store answers a known workload with zero
+  compilations;
 * **metrics** — :meth:`NKAEngine.stats` unifies cache counters, planner
   dedupe ratios and executor timings into one JSON-dumpable report.
 
@@ -52,15 +51,7 @@ from repro.engine.planner import (
     cached_aware_cost_estimate,
     plan_batch,
 )
-from repro.engine.persist import (
-    StaleWarmStateError,
-    WarmState,
-    expr_digest,
-    load_warm_state,
-    make_warm_state,
-    pipeline_fingerprint,
-    save_warm_state,
-)
+from repro.engine.persist import expr_digest
 from repro.util.cache import CacheRegistry, LRUCache, process_registry
 
 __all__ = ["NKAEngine", "default_engine"]
@@ -69,21 +60,17 @@ _ENGINE_COUNTER = [0]
 
 
 class NKAEngine:
-    """An isolated decision-procedure session with planning and warm start.
+    """An isolated decision-procedure session with planning.
 
     Args:
         name: label used in stats and cache names (auto-numbered if omitted).
         wfa_capacity / result_capacity: LRU bounds of the session's compile
             and verdict caches.
-        warm_state: a :class:`~repro.engine.persist.WarmState`, or a path to
-            one, to preload the caches from.  Stale state (pipeline
-            fingerprint mismatch) raises
-            :class:`~repro.engine.persist.StaleWarmStateError` unless
-            ``strict_warm_state=False``, which falls back to a cold start.
         store: a shared :class:`~repro.engine.store.CompileStore` (or a
             directory path to open one at) consulted on every verdict-cache
             miss and fed by every fresh decision, so a fleet of engines
-            across processes and hosts decides each pair once.
+            across processes and hosts decides each pair once, and a fresh
+            engine on a populated store starts warm.
             ``None`` (default) follows ``REPRO_COMPILE_STORE``;
             pass ``store=False`` to disable the store even when the
             environment variable is set.  Store failures of any kind are
@@ -108,8 +95,6 @@ class NKAEngine:
         *,
         wfa_capacity: int = 4096,
         result_capacity: int = 8192,
-        warm_state: Union[None, str, WarmState] = None,
-        strict_warm_state: bool = True,
         store: Union[None, bool, str, CompileStore] = None,
         cache_namespace: Optional[str] = None,
         register_globally: bool = False,
@@ -159,15 +144,11 @@ class NKAEngine:
         self._compilations = 0
         self._decisions = 0
         self._batches = 0
-        self._warm_wfas = 0
-        self._warm_verdicts = 0
         self._plan_totals = PlanStats()
         self._plan_seconds = 0.0
         self._execute_seconds = 0.0
         self._last_batch: Optional[Dict[str, object]] = None
         self._reset_lifetime_counters()
-        if warm_state is not None:
-            self.load_warm_state(warm_state, strict=strict_warm_state)
 
     def _reset_lifetime_counters(self) -> None:
         self._store_errors = 0
@@ -456,8 +437,6 @@ class NKAEngine:
                 self._compilations = 0
                 self._decisions = 0
                 self._batches = 0
-                self._warm_wfas = 0
-                self._warm_verdicts = 0
                 self._plan_totals = PlanStats()
                 self._plan_seconds = 0.0
                 self._execute_seconds = 0.0
@@ -518,10 +497,6 @@ class NKAEngine:
                     "store_hits": self._verdict_store_hits,
                     "published": self._verdict_store_publishes,
                 },
-                "warm_start": {
-                    "wfas_loaded": self._warm_wfas,
-                    "verdicts_loaded": self._warm_verdicts,
-                },
                 "planner": self._plan_totals.as_dict(),
                 "executor": {
                     "batches": self._batches,
@@ -537,75 +512,6 @@ class NKAEngine:
     def stats_json(self, indent: int = 2) -> str:
         """:meth:`stats` as a JSON document (for the benchmark harness)."""
         return json.dumps(self.stats(), indent=indent, sort_keys=True)
-
-    # -- warm-start persistence --------------------------------------------
-
-    def warm_state(self) -> WarmState:
-        """Snapshot this session's caches as a portable warm state."""
-        with self._lock:
-            wfas = self._wfa.items()
-            verdict_items = self._results.items()
-        verdicts = []
-        emitted = set()
-        for (left, right), result in verdict_items:
-            if (right, left) in emitted:
-                continue  # symmetric twin of an already-kept entry
-            emitted.add((left, right))
-            verdicts.append(((left, right), result))
-        return make_warm_state(
-            wfas=wfas,
-            verdicts=verdicts,
-            meta={
-                "engine": self.name,
-                "wfa_entries": len(wfas),
-                "verdict_entries": len(verdicts),
-                "parent_compilations": self._compilations,
-            },
-        )
-
-    def save_warm_state(self, path: str) -> str:
-        """Serialize the caches to ``path`` for cross-process warm start."""
-        return save_warm_state(self.warm_state(), path)
-
-    def load_warm_state(
-        self, state: Union[str, WarmState], strict: bool = True
-    ) -> bool:
-        """Preload the caches from a snapshot (path or in-memory state).
-
-        Returns whether anything was loaded.  Stale or invalid state raises
-        (see :func:`repro.engine.persist.load_warm_state`) unless ``strict``
-        is false, in which case the engine simply stays cold.  The pipeline
-        fingerprint is checked for in-memory snapshots too — a ``WarmState``
-        received over RPC or unpickled by the caller is no more trustworthy
-        than a file.
-        """
-        if isinstance(state, str):
-            try:
-                loaded = load_warm_state(state, strict=strict)
-            except Exception:
-                if strict:
-                    raise
-                loaded = None
-            if loaded is None:
-                return False
-            state = loaded
-        elif state.fingerprint != pipeline_fingerprint():
-            if strict:
-                raise StaleWarmStateError(
-                    f"in-memory warm state was produced by pipeline "
-                    f"{state.fingerprint[:12]}…, this process is "
-                    f"{pipeline_fingerprint()[:12]}…; recompile cold and re-save"
-                )
-            return False
-        with self._lock:
-            for expr, wfa in state.wfas:
-                self._wfa.put(expr, wfa)
-                self._warm_wfas += 1
-            for (left, right), result in state.verdicts:
-                self._results.put((left, right), result)
-                self._results.put((right, left), result)
-                self._warm_verdicts += 1
-        return bool(state.wfas or state.verdicts)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (

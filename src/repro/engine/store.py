@@ -1,12 +1,16 @@
 """Content-addressed shared verdict store: fleet-wide reuse of decisions.
 
-The warm state of :mod:`repro.engine.persist` is a *session* artefact — one
-engine snapshots its caches into one file, one engine reloads it.  A fleet
-of replicas (many engines, many processes, many hosts mounting one shared
-directory) needs the dual: a **store** that every engine reads and writes
+A fleet of replicas (many engines, many processes, many hosts mounting one
+shared directory) shares one **store** that every engine reads and writes
 concurrently, so the first replica to decide a pair serves every other
-replica, forever, across process and host boundaries.  Every NKA verdict is
-an exact decision, so a stored verdict is as good as a fresh one.
+replica, forever, across process and host boundaries.  It is also how a
+fresh process starts warm: mount the store, and every pair decided before
+is answered with zero compilations and zero decisions.  Every NKA verdict
+is an exact decision, so a stored verdict is as good as a fresh one.
+
+This is the only module that serializes anything, and the only one that
+knows the on-disk format: :func:`dumps_artifact` / :func:`loads_artifact`
+are the verdict codec.
 
 Addressing
 ----------
@@ -41,9 +45,9 @@ walking the tree.
 Corruption and staleness discipline
 -----------------------------------
 
-Reads reuse the :class:`~repro.engine.persist.WarmStateError` family's
-stance with one difference in tone: in the *store*, a torn, undecodable,
-misaddressed or stale entry is **silently a miss** — counted in
+In the store, a torn, undecodable (:func:`loads_artifact` raises
+:class:`~repro.engine.persist.PersistError`), misaddressed or stale entry
+is **silently a miss** — counted in
 ``corrupt_skipped``, best-effort unlinked, and decided afresh — never an
 exception and never a wrong verdict.  A store is a cache of recomputable
 artefacts; refusing service over one bad file would make the whole fleet's
@@ -75,9 +79,9 @@ directory scan.  Publishes that push the running byte estimate over
 ``max_bytes`` trigger an eviction opportunistically.
 
 Ops tooling: ``python -m repro.engine.store describe <dir>`` and
-``... gc <dir> [--max-bytes N] [--keep-stale]`` mirror
-:func:`~repro.engine.persist.describe_warm_state` for directory stores —
-entry counts, bytes, fingerprint freshness, stale-version cleanup.
+``... gc <dir> [--max-bytes N] [--keep-stale]`` — entry counts, bytes,
+fingerprint freshness, stale-version cleanup (``gc`` deletes the
+directories of every other pipeline fingerprint).
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import tempfile
 import threading
 import time
@@ -92,16 +97,13 @@ from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.automata.equivalence import EquivalenceResult
-from repro.engine.persist import (
-    WarmStateError,
-    dumps_artifact,
-    loads_artifact,
-    pipeline_fingerprint,
-)
+from repro.engine.persist import PersistError, pipeline_fingerprint
 from repro.util.cache import LRUCache
 
 __all__ = [
     "STORE_FORMAT",
+    "dumps_artifact",
+    "loads_artifact",
     "CompileStore",
     "describe_store",
     "gc_store",
@@ -129,6 +131,30 @@ _TMP_PREFIX = ".tmp-"
 
 _DIGEST_LEN = 64
 _PAIR_KEY_LEN = 2 * _DIGEST_LEN + 1  # "<dA>-<dB>", digests are hex so '-' is unambiguous
+
+
+def dumps_artifact(obj: Any) -> bytes:
+    """Serialize a store entry."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def loads_artifact(data: bytes) -> Any:
+    """Deserialize stored bytes, mapping every decode failure to
+    :class:`~repro.engine.persist.PersistError` — callers never see raw
+    pickle internals."""
+    try:
+        return pickle.loads(data)
+    except (
+        pickle.UnpicklingError,
+        EOFError,
+        AttributeError,
+        ImportError,
+        IndexError,
+        MemoryError,
+        TypeError,
+        ValueError,
+    ) as error:
+        raise PersistError(f"persisted artefact is not decodable: {error}") from error
 
 
 def verdict_pair_key(digest_a: str, digest_b: str) -> str:
@@ -294,7 +320,7 @@ class CompileStore:
         any defect — the silently-a-miss contract."""
         try:
             payload = loads_artifact(data)
-        except WarmStateError:
+        except PersistError:
             payload = None
         if (
             not isinstance(payload, tuple)
@@ -550,8 +576,7 @@ def open_default_store() -> Optional[CompileStore]:
 
 def describe_store(root: str) -> Dict[str, Any]:
     """Inspect a store directory: per-fingerprint entry counts, bytes and
-    freshness against this process's pipeline — the directory analogue of
-    :func:`repro.engine.persist.describe_warm_state`.
+    freshness against this process's pipeline.
 
     This is the one read path allowed to *scan* (ops tooling, not the
     serving hot path).  Unreadable roots describe as empty rather than

@@ -4,9 +4,9 @@ A rational series is one denoted by an NKA expression through ``{{−}}``.
 This module is the user-facing wrapper tying together the two exact
 representations the library maintains for such a series:
 
-* the *automaton* form (:class:`repro.automata.wfa.WFA`, transition
-  matrices sparse over the ``EXT_NAT`` semiring of :mod:`repro.linalg`)
-  supporting coefficients of arbitrary words and exact equality;
+* the *automaton* form (:class:`repro.automata.wfa.WFA`, each letter's
+  ``N̄`` transition matrix held as sparse dict rows) supporting
+  coefficients of arbitrary words and exact equality;
 * the *truncated table* form (:class:`repro.series.power_series.TruncatedSeries`)
   supporting exhaustive inspection up to a length bound.
 

@@ -136,17 +136,12 @@ class TenantConfig:
     wfa_capacity: int = 4096
     result_capacity: int = 8192
     store: Union[None, bool, str, Any] = False
-    warm_state: Optional[str] = None
 
     def make_engine(self) -> NKAEngine:
         return NKAEngine(
             f"serving[{self.name}]",
             wfa_capacity=self.wfa_capacity,
             result_capacity=self.result_capacity,
-            warm_state=self.warm_state,
-            # Serving survives a stale warm snapshot by starting cold; a
-            # hard failure at tenant-boot time helps nobody at 3am.
-            strict_warm_state=False,
             store=self.store,
         )
 
@@ -420,7 +415,7 @@ class NKAService:
     # -- observability -------------------------------------------------------
 
     def engine(self, tenant_name: str) -> NKAEngine:
-        """Direct access to a tenant's engine (tests, warm-state ops)."""
+        """Direct access to a tenant's engine (tests, ops)."""
         return self._tenant(tenant_name).engine
 
     def tenant_names(self) -> List[str]:

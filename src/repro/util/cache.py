@@ -206,14 +206,6 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def items(self) -> list:
-        """Entries ordered least- to most-recently used (no recency effects).
-
-        Used by the engine's warm-state export: replaying the list through
-        ``put`` on a fresh cache reproduces this cache's eviction order.
-        """
-        return list(self._data.items())
-
     # -- management -----------------------------------------------------------
 
     @property

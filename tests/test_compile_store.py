@@ -10,10 +10,14 @@ unordered digest pair).  Six surfaces:
 * **stores from older writers** — ``.wfa`` (compiled-automaton) entries
   left in the current fingerprint directory are never read, their
   verdicts still serve, and ``gc`` deletes them with their index lines;
-* **fingerprint discipline** (satellite) — ``pipeline_fingerprint()``
-  raises a typed :class:`WarmStateError` for source-less modules instead of
-  stamping an incomplete pipeline, stays planner-independent, and the
-  module list itself is pinned;
+* **fingerprint discipline** — ``pipeline_fingerprint()`` raises a typed
+  :class:`PersistError` for source-less modules instead of stamping an
+  incomplete pipeline, stays planner-independent, and the module list
+  itself is pinned;
+* **deep inputs** — the digest walk keeps its own stack: its digests
+  equal the recursive Merkle definition on the nkabench corpus, it
+  digests a 10⁵-deep expression, and a 2,000-letter product's verdict is
+  published and served to a second engine;
 * **engine wiring** — ``NKAEngine(store=...)`` / ``REPRO_COMPILE_STORE``
   serve verdicts from the store (zero compilations and decisions on a
   warm store), publish fresh ones, and surface a ``store`` stats section;
@@ -29,6 +33,7 @@ re-imports and re-interns everything, and the store must hold up either
 way.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -44,12 +49,13 @@ from gen import random_pairs
 
 from repro.automata.equivalence import EquivalenceResult
 from repro.core.expr import Star, product_of, sum_of, sym
-from repro.engine import NKAEngine, WarmStateError, pipeline_fingerprint
+from repro.engine import NKAEngine, PersistError, pipeline_fingerprint
 from repro.engine import persist
 from repro.engine.store import (
     STORE_FORMAT,
     CompileStore,
     describe_store,
+    dumps_artifact,
     gc_store,
     verdict_pair_key,
 )
@@ -169,7 +175,7 @@ class TestStoreSemantics:
         pair = _pairs(1)[0]
         store = CompileStore(root)
         key = verdict_pair_key(*pair)
-        payload = persist.dumps_artifact(
+        payload = dumps_artifact(
             ("nka-verdict-store", STORE_FORMAT, "f" * 64, key, _RESULT)
         )
         path = store._entry_path(key)
@@ -267,7 +273,7 @@ class TestLegacyWfaEntries:
     def _plant_wfa_entry(store, expr):
         """Write an entry exactly as the older writer laid it out."""
         digest = persist.expr_digest(expr)
-        data = persist.dumps_artifact(
+        data = dumps_artifact(
             ("nka-compile-store", STORE_FORMAT, store.fingerprint, digest, _compile(expr))
         )
         path = os.path.join(store._fingerprint_dir(), digest[:2], digest + ".wfa")
@@ -310,76 +316,6 @@ class TestLegacyWfaEntries:
             again = served.equal_many_detailed(pairs)
             assert served.stats()["decisions"] == 0
         assert pickle.dumps(again) == pickle.dumps(baseline)
-
-
-class TestPickleDeterminism:
-    """Pickled WFA bytes must not depend on set construction history.
-
-    A frozenset's iteration order depends on how it was built (insertion
-    sequence and probe collisions), not just on its elements — so without
-    canonical ``__getstate__`` ordering, two equal automata, or one
-    automaton before and after a store round trip, could pickle to
-    *different bytes* under ~15% of hash seeds (a byte-identity flake in
-    the automaton store round trip this file once tested).  Byte identity
-    of pickled automata is a conformance surface: warm state persists
-    them and the differential suites compare pickled bytes.
-    """
-
-    @staticmethod
-    def _adversarial_alphabets():
-        """Two frozensets, equal as sets, iterating in different orders."""
-        letters = [f"x{i}" for i in range(48)]
-        base = frozenset(letters)
-        rng = __import__("random").Random(4177)
-        for _ in range(200):
-            shuffled = list(letters)
-            rng.shuffle(shuffled)
-            other = frozenset(shuffled)
-            if list(other) != list(base):
-                return base, other
-        return None
-
-    @staticmethod
-    def _with_alphabet(alphabet):
-        from repro.automata.wfa import WFA
-
-        wfa = _compile(_exprs(1)[0])
-        return WFA(
-            num_states=wfa.num_states,
-            alphabet=alphabet,
-            initial=list(wfa.initial),
-            final=list(wfa.final),
-            matrices=dict(wfa.matrices),
-        )
-
-    def test_equal_wfas_pickle_to_identical_bytes(self):
-        pair = self._adversarial_alphabets()
-        if pair is None:
-            pytest.skip("interpreter laid every shuffle out identically")
-        base, other = pair
-        assert base == other and list(base) != list(other)  # the trap is set
-        assert pickle.dumps(self._with_alphabet(base)) == pickle.dumps(
-            self._with_alphabet(other)
-        )
-
-    def test_warm_state_round_trip_is_byte_stable(self, tmp_path):
-        pair = self._adversarial_alphabets()
-        if pair is None:
-            pytest.skip("interpreter laid every shuffle out identically")
-        _, other = pair
-        wfa = self._with_alphabet(other)
-        expr = _exprs(1, seed=9)[0]
-        path = str(tmp_path / "warm.pickle")
-        persist.save_warm_state(persist.make_warm_state([(expr, wfa)], []), path)
-        ((_, served),) = persist.load_warm_state(path).wfas
-        assert pickle.dumps(served) == pickle.dumps(wfa)
-
-    def test_support_dfa_memo_round_trips_byte_stable(self):
-        wfa = _compile(_exprs(1, seed=3)[0])
-        wfa.support_dfa()  # populate the DFA memo (set-valued fields)
-        once = pickle.dumps(pickle.loads(pickle.dumps(wfa)))
-        assert once == pickle.dumps(wfa)
-        assert pickle.dumps(pickle.loads(once)) == once
 
 
 class TestNegativeCacheInvalidation:
@@ -458,8 +394,6 @@ class TestFingerprintDiscipline:
         assert persist._FINGERPRINT_MODULES == (
             "repro.core.expr",
             "repro.core.semiring",
-            "repro.linalg.semiring",
-            "repro.linalg.sparse",
             "repro.linalg.rowspace",
             "repro.automata.nfa",
             "repro.automata.wfa",
@@ -478,12 +412,107 @@ class TestFingerprintDiscipline:
         monkeypatch.setattr(
             wfa_module, "__file__", str("/nonexistent/wfa.py"), raising=False
         )
-        with pytest.raises(WarmStateError, match="repro.automata.wfa"):
+        with pytest.raises(PersistError, match="repro.automata.wfa"):
             persist.pipeline_fingerprint()
         # The failure must not have been memoized as a fingerprint.
         assert persist._FINGERPRINT is None
         monkeypatch.undo()
         assert len(pipeline_fingerprint()) == 64
+
+
+def _recursive_digest(expr):
+    """The Merkle digest's definition, written as the recursion it is (no
+    memo): the reference the store's iterative walk must reproduce byte
+    for byte, or every existing store key would go cold."""
+    import hashlib
+
+    from repro.core.expr import One, Product, Star, Sum, Symbol, Zero
+
+    if isinstance(expr, Zero):
+        encoded = b"Z"
+    elif isinstance(expr, One):
+        encoded = b"E"
+    elif isinstance(expr, Symbol):
+        name = expr.name.encode("utf-8")
+        encoded = b"S%d:%s" % (len(name), name)
+    elif isinstance(expr, Sum):
+        encoded = b"+%s%s" % (
+            _recursive_digest(expr.left).encode(),
+            _recursive_digest(expr.right).encode(),
+        )
+    elif isinstance(expr, Product):
+        encoded = b".%s%s" % (
+            _recursive_digest(expr.left).encode(),
+            _recursive_digest(expr.right).encode(),
+        )
+    else:
+        encoded = b"*%s" % _recursive_digest(expr.body).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def _nkabench_corpus_exprs():
+    """Every expression of the nkabench cold corpus + tail, seeds 1–5."""
+    from repro.core.parser import parse
+
+    root = os.path.join(os.path.dirname(__file__), "..", "nkabench")
+    sys.path.insert(0, root)
+    try:
+        from corpus import build_corpus, tail_queries
+    finally:
+        sys.path.remove(root)
+    exprs = []
+    for seed in range(1, 6):
+        for query in build_corpus(seed, 400) + tail_queries(seed):
+            exprs.extend((parse(query.left), parse(query.right)))
+    return exprs
+
+
+class TestDeepInputs:
+    def test_digest_matches_recursive_definition_on_corpus(self):
+        exprs = _nkabench_corpus_exprs()
+        assert len(exprs) == 2 * 5 * 412
+        persist._DIGEST_CACHE.clear()
+        assert [persist.expr_digest(e) for e in exprs] == [
+            _recursive_digest(e) for e in exprs
+        ]
+
+    def test_digest_at_depth_100000(self):
+        a, b = sym("a"), sym("b")
+        expr = a
+        for depth in range(100_000):
+            expr = Star(expr) if depth % 2 else product_of([b, expr])
+        persist._DIGEST_CACHE.clear()
+        digest = persist.expr_digest(expr)
+        assert len(digest) == 64
+        # The root is the Merkle step over its (now memoized) body.
+        assert digest == hashlib.sha256(
+            b"*%s" % persist.expr_digest(expr.body).encode()
+        ).hexdigest()
+        persist._DIGEST_CACHE.clear()  # a walk larger than the memo
+        assert persist.expr_digest(expr) == digest
+
+    def test_deep_product_verdict_is_stored_and_served(self, tmp_path):
+        """A 2,000-letter product against itself + 0: the verdict is
+        published, and a second engine on the store is served it with
+        zero compilations (the recursive digest raised here, costing one
+        store error on lookup and one on publish)."""
+        from repro.core.parser import parse
+
+        chain = " ".join(["a"] * 2000)
+        left, right = parse(chain), parse(f"{chain} + 0")
+        root = str(tmp_path / "store")
+        first = NKAEngine("deep-pub", store=root)
+        decided = first.equal_detailed(left, right)
+        assert decided.equal
+        section = first.stats()["store"]
+        assert section["errors"] == 0
+        assert section["publishes"] == 1
+        second = NKAEngine("deep-sub", store=root)
+        served = second.equal_detailed(left, right)
+        assert pickle.dumps(served) == pickle.dumps(decided)
+        stats = second.stats()
+        assert stats["compilations"] == 0 and stats["decisions"] == 0
+        assert stats["verdicts"]["store_hits"] == 1
 
 
 class TestEngineWiring:

@@ -7,10 +7,11 @@ The contracts pinned here are the ones serving depends on:
   byte-identical to the one-at-a-time sequential path (property test over
   the shared expression generator);
 * a batch leaves its compilations in the engine's own cache, so follow-up
-  batches and saved warm state reuse them;
-* warm state round-trips — including into a *fresh process* — and answers
-  a known batch with zero compilations; stale-fingerprint state is
-  rejected cleanly;
+  batches reuse them;
+* a warm start is a mounted verdict store: a fresh engine — in this process
+  or a *fresh process* — answers a known batch with zero compilations and
+  zero decisions; a store written by another pipeline starts it cold,
+  cleanly;
 * the refutation word stream is a constant-memory generator in BFS order
   (the old implementation materialised whole frontier levels).
 """
@@ -30,13 +31,13 @@ from repro.core.expr import Symbol, product_of
 from repro.core.parser import parse
 from repro.engine import (
     NKAEngine,
-    StaleWarmStateError,
-    WarmStateError,
+    PersistError,
     pipeline_fingerprint,
     plan_batch,
     words_up_to,
 )
-from repro.engine.persist import load_warm_state
+from repro.engine.store import loads_artifact
+from repro.serving import TenantConfig
 
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -218,160 +219,91 @@ class TestWarmBack:
             "every operand was compiled by the first batch"
         )
 
-    def test_warm_state_after_parallel_batch_replays_in_fresh_process(
-        self, tmp_path
-    ):
-        """save_warm_state after a batch captures its compilations."""
-        pairs = _fresh_pairs(seed=214, count=24)
-        engine = self._engine_after_batch(pairs)
-        path = str(tmp_path / "batch-state.pickle")
-        engine.save_warm_state(path)
-        meta = load_warm_state(path).meta
-        assert meta["wfa_entries"] == meta["parent_compilations"] > 0
-
-        # The child re-derives the *recombined* pairing, so the verdict
-        # cache alone cannot answer it — the saved WFAs must.
-        script = (
-            "from gen import random_pairs\n"
-            "from repro.engine import NKAEngine, plan_batch\n"
-            "pairs = random_pairs(seed=214, count=24, depth=3, equal_fraction=0.2)\n"
-            "plan = plan_batch(pairs, lambda left, right: None)\n"
-            "exprs = sorted({e for t in plan.tasks for e in (t.left, t.right)},\n"
-            "               key=str)\n"
-            f"engine = NKAEngine('child', warm_state={path!r})\n"
-            "engine.equal_many(list(zip(exprs, exprs[1:])))\n"
-            "assert engine.stats()['compilations'] == 0, 'child compiled!'\n"
-            "print('ok')\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC, os.path.dirname(__file__), env.get("PYTHONPATH", "")]
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "ok"
-
 
 class TestWarmState:
+    """A warm start is a mounted verdict store.
+
+    The engine persists nothing itself: every verdict it decides is
+    published to its store, and a fresh engine over that store answers the
+    same pairs from disk.
+    """
+
     def test_round_trip_same_process(self, tmp_path):
         pairs = _fresh_pairs(seed=31, count=30)
-        source = NKAEngine("warm-src")
+        root = str(tmp_path / "store")
+        source = NKAEngine("warm-src", store=root)
         expected = source.equal_many_detailed(pairs)
-        path = str(tmp_path / "state.pickle")
-        source.save_warm_state(path)
 
-        warmed = NKAEngine("warm-dst", warm_state=path)
+        warmed = NKAEngine("warm-dst", store=root)
         got = warmed.equal_many_detailed(pairs)
-        assert got == expected
+        assert pickle.dumps(got) == pickle.dumps(expected)
         stats = warmed.stats()
         assert stats["compilations"] == 0, "warm batch must not compile"
+        assert stats["decisions"] == 0
         assert stats["planner"]["tasks"] == 0
-        assert stats["warm_start"]["verdicts_loaded"] > 0
+        assert stats["verdicts"]["store_hits"] > 0
 
     def test_round_trip_fresh_process(self, tmp_path):
+        """A fresh process mounting the store: 0 compilations, 0 decisions,
+        and the verdicts' pickled bytes of the engine that decided them."""
         pairs = _fresh_pairs(seed=32, count=12)
-        source = NKAEngine("warm-proc")
-        expected = [r.equal for r in source.equal_many_detailed(pairs)]
-        path = str(tmp_path / "state.pickle")
-        source.save_warm_state(path)
+        root = str(tmp_path / "store")
+        source = NKAEngine("warm-proc", store=root)
+        expected = [pickle.dumps(r).hex() for r in source.equal_many_detailed(pairs)]
 
         script = (
-            "import sys\n"
+            "import pickle\n"
             "from gen import random_pairs\n"
             "from repro.engine import NKAEngine\n"
             "pairs = random_pairs(seed=32, count=12, depth=3, equal_fraction=0.2)\n"
-            f"engine = NKAEngine('child', warm_state={path!r})\n"
-            "verdicts = engine.equal_many(pairs)\n"
-            "assert engine.stats()['compilations'] == 0, 'child compiled!'\n"
-            "print(','.join(str(v) for v in verdicts))\n"
+            f"engine = NKAEngine('child', store={root!r})\n"
+            "results = engine.equal_many_detailed(pairs)\n"
+            "stats = engine.stats()\n"
+            "assert stats['compilations'] == 0, 'child compiled!'\n"
+            "assert stats['decisions'] == 0, 'child decided!'\n"
+            "print(','.join(pickle.dumps(r).hex() for r in results))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [SRC, os.path.dirname(__file__), env.get("PYTHONPATH", "")]
         )
+        env.pop("REPRO_COMPILE_STORE", None)
         out = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        child = [v == "True" for v in out.stdout.strip().split(",")]
-        assert child == expected
+        assert out.stdout.strip().split(",") == expected
 
     def test_stale_fingerprint_rejected_cleanly(self, tmp_path):
-        source = NKAEngine("stale-src")
-        source.equal(parse("a"), parse("a + 0"))
-        path = str(tmp_path / "state.pickle")
-        source.save_warm_state(path)
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)
-        state.fingerprint = "0" * 64
-        with open(path, "wb") as handle:
-            pickle.dump(state, handle)
+        """Verdicts filed under another pipeline's fingerprint are never
+        served: the engine starts cold, without an error."""
+        root = tmp_path / "store"
+        source = NKAEngine("stale-src", store=str(root))
+        expected = source.equal_detailed(parse("a"), parse("a + 0"))
+        (root / pipeline_fingerprint()).rename(root / ("0" * 64))
 
-        with pytest.raises(StaleWarmStateError):
-            NKAEngine("stale-strict", warm_state=path)
-        lax = NKAEngine("stale-lax", warm_state=path, strict_warm_state=False)
-        stats = lax.stats()["warm_start"]
-        assert stats["wfas_loaded"] == 0 and stats["verdicts_loaded"] == 0
-
-    def test_corrupt_state_raises_warm_state_error(self, tmp_path):
-        path = tmp_path / "junk.pickle"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(WarmStateError):
-            load_warm_state(str(path))
-
-    def test_in_memory_state_fingerprint_checked_too(self):
-        """A WarmState object (RPC, caller-unpickled) is vetted like a file."""
-        source = NKAEngine("mem-src")
-        source.equal(parse("a"), parse("a + 0"))
-        state = source.warm_state()
-        state.fingerprint = "f" * 64
-        with pytest.raises(StaleWarmStateError):
-            NKAEngine("mem-strict", warm_state=state)
-        lax = NKAEngine("mem-lax", warm_state=state, strict_warm_state=False)
-        assert lax.stats()["warm_start"]["verdicts_loaded"] == 0
-
-    def test_custom_semiring_pickle_contract(self):
-        """Unregistered specs refuse to pickle; registered ones round-trip."""
-        import copy
-        import operator
-        import pickle
-
-        from repro.linalg import SemiringSpec, SparseMatrix, register_semiring
-        from repro.util.errors import DecisionError
-
-        custom = SemiringSpec(
-            name="test-tropical-unregistered",
-            zero=float("inf"), one=0.0,
-            add=min, mul=operator.add,
-            is_zero=lambda value: value == float("inf"),
+        cold = NKAEngine("stale-dst", store=str(root))
+        assert pickle.dumps(cold.equal_detailed(parse("a"), parse("a + 0"))) == (
+            pickle.dumps(expected)
         )
-        matrix = SparseMatrix(2, 2, custom)
-        matrix.add_entry(0, 1, 3.0)
-        assert copy.deepcopy(matrix).rows == matrix.rows  # deepcopy still works
-        with pytest.raises(DecisionError):
-            pickle.dumps(matrix)  # unregistered: refuse, don't silently swap
+        stats = cold.stats()
+        assert stats["decisions"] == 1 and stats["compilations"] == 2
+        assert stats["store"]["errors"] == 0
 
-        registered = register_semiring(
-            SemiringSpec(
-                name="test-tropical-registered",
-                zero=float("inf"), one=0.0,
-                add=min, mul=operator.add,
-                is_zero=lambda value: value == float("inf"),
-            )
-        )
-        again = pickle.loads(pickle.dumps(SparseMatrix(1, 1, registered)))
-        assert again.semiring is registered
-        with pytest.raises(DecisionError):
-            register_semiring(
-                SemiringSpec(
-                    name="ExtNat", zero=None, one=None,
-                    add=min, mul=min, is_zero=bool,
-                )
-            )  # shadowing a canonical name is rejected
+    def test_corrupt_artifact_raises_persist_error(self):
+        with pytest.raises(PersistError):
+            loads_artifact(b"not a pickle at all")
+
+    def test_snapshot_options_are_gone(self):
+        """No snapshot file format exists any more: the options that named
+        one are rejected, not ignored."""
+        with pytest.raises(TypeError):
+            NKAEngine("no-snapshot", warm_state="state.pickle")
+        with pytest.raises(TypeError):
+            TenantConfig("t", warm_state="state.pickle")
+        assert not hasattr(NKAEngine, "save_warm_state")
+        assert "warm_start" not in NKAEngine("no-snapshot-stats").stats()
 
     def test_fingerprint_is_stable_within_process(self):
         assert pipeline_fingerprint() == pipeline_fingerprint()

@@ -132,3 +132,58 @@ class TestRendering:
     def test_double_star(self):
         a = sym("a")
         assert str(a.star().star()) == "(a*)*"
+
+    def test_matches_recursive_renderer_on_corpus(self):
+        """The renderer keeps its own stack; its output is byte-identical
+        to the recursive definition on every nkabench corpus expression
+        (the corpus ships expressions to the program as this text)."""
+        import os
+        import sys
+
+        from repro.core.parser import parse
+
+        def chain(expr, kind):
+            if isinstance(expr, kind):
+                return chain(expr.left, kind) + chain(expr.right, kind)
+            return [expr]
+
+        def recursive(expr, parent_prec=0):
+            if isinstance(expr, Star):
+                text = f"{recursive(expr.body, 4)}*"
+                return text if parent_prec <= 3 else f"({text})"
+            if isinstance(expr, Sum):
+                prec, text = 1, " + ".join(recursive(t, 1) for t in chain(expr, Sum))
+            elif isinstance(expr, Product):
+                prec, text = 2, " ".join(recursive(f, 3) for f in chain(expr, Product))
+            else:
+                return str(expr)
+            return f"({text})" if prec < parent_prec else text
+
+        root = os.path.join(os.path.dirname(__file__), "..", "nkabench")
+        sys.path.insert(0, root)
+        try:
+            from corpus import build_corpus, tail_queries
+        finally:
+            sys.path.remove(root)
+        exprs = [
+            parse(text)
+            for seed in range(1, 6)
+            for query in build_corpus(seed, 400) + tail_queries(seed)
+            for text in query.key
+        ]
+        assert len(exprs) == 2 * 5 * 412
+        for expr in exprs:
+            assert str(expr) == recursive(expr)
+            assert repr(expr) == f"Expr[{recursive(expr)}]"
+
+    def test_depth_100000(self):
+        """Neither a 10⁵-letter product nor a 10⁵-deep star/sum nest
+        raises ``RecursionError``."""
+        a, b = sym("a"), sym("b")
+        assert str(product_of([a] * 100_000)) == " ".join(["a"] * 100_000)
+        nest = a
+        for depth in range(100_000):
+            nest = Star(nest) if depth % 2 else Sum(b, nest)
+        text = str(nest)
+        assert text.startswith("(b + (b + ") and text.endswith(")*)*")
+        assert text.count("(") == text.count(")") == 50_000  # one pair per star

@@ -1,10 +1,11 @@
 """``import repro`` must stay side-effect-light: no disk I/O beyond imports.
 
-The engine subsystem added two tempting places to touch the filesystem at
-import time — the pipeline fingerprint (hashes module sources) and warm
-state loading.  Both are deferred to first use; this test pins that, so a
-serving binary can import the library in a read-only container and a CLI
-does not pay warm-state deserialisation it never asked for.
+The engine subsystem has two tempting places to touch the filesystem at
+import time — the pipeline fingerprint (hashes module sources) and the
+verdict store (``REPRO_COMPILE_STORE``).  Both are deferred to first use;
+this test pins that, so a serving binary can import the library in a
+read-only container and a CLI does not pay disk reads it never asked
+for.
 
 Methodology: a fresh subprocess installs a ``sys.addaudithook`` *before*
 importing, records every ``open`` audit event, then imports ``repro``.  The

@@ -1,10 +1,12 @@
-"""Property tests for the semiring-generic sparse linear-algebra backend.
+"""Property tests for the decision pipeline's exact linear algebra.
 
-The sparse vector kernels (:mod:`repro.linalg.sparse`) are validated
-against dense list-of-lists arithmetic on seeded random matrices from
-:mod:`tests.gen`; the sparse integer ``RowSpace`` is validated against a
-from-scratch ``Fraction`` Gaussian elimination; and the end-to-end WFA
-pipeline is cross-checked sparse vs dense on random expressions.
+The sparse integer ``RowSpace`` (:mod:`repro.linalg`) is validated against
+a from-scratch ``Fraction`` Gaussian elimination.  The automata's dict-row
+helpers — :func:`repro.automata.wfa.vec_mat` and
+:func:`repro.automata.nfa.reachable` — are validated against dense
+list-of-lists arithmetic and a brute-force fixpoint on seeded random
+matrices from :mod:`tests.gen`, and the end-to-end WFA pipeline is
+cross-checked sparse vs dense on random expressions.
 """
 
 import random
@@ -12,17 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from repro.automata.wfa import expr_to_wfa
+from repro.automata.nfa import reachable
+from repro.automata.wfa import WFA, expr_to_wfa, vec_mat
 from repro.core.decision import clear_caches, nka_equal_many_detailed
 from repro.core.semiring import ExtNat, ONE, ZERO
-from repro.linalg import (
-    BOOL,
-    EXT_NAT,
-    RowSpace,
-    SparseMatrix,
-    reachable,
-    vec_mat,
-)
+from repro.linalg import RowSpace
 from repro.util.errors import DecisionError
 from tests.gen import random_exprs, random_int_entries, short_words
 
@@ -50,15 +46,17 @@ def _fraction_rank(rows, dim):
     return rank
 
 
-def _build_pair(entries, nrows, ncols, semiring, embed):
-    """The same matrix as (sparse, dense list-of-lists)."""
-    sparse = SparseMatrix(nrows, ncols, semiring)
-    dense = [[semiring.zero] * ncols for _ in range(nrows)]
+def _build_pair(entries, nrows, ncols):
+    """The same ``N̄`` matrix as (dict rows, dense list-of-lists); duplicate
+    entries add up."""
+    rows = {}
+    dense = [[ZERO] * ncols for _ in range(nrows)]
     for i, j, value in entries:
-        weight = embed(value)
-        sparse.add_entry(i, j, weight)
-        dense[i][j] = semiring.add(dense[i][j], weight) if dense[i][j] != semiring.zero else weight
-    return sparse, dense
+        weight = ExtNat(abs(value))
+        dense[i][j] = dense[i][j] + weight
+        if not dense[i][j].is_zero:
+            rows.setdefault(i, {})[j] = dense[i][j]
+    return rows, dense
 
 
 class TestSparseAgreesWithDense:
@@ -66,14 +64,11 @@ class TestSparseAgreesWithDense:
         rng = random.Random(16)
         for _ in range(30):
             n, m = rng.randint(1, 7), rng.randint(1, 7)
-            sparse, dense = _build_pair(
-                random_int_entries(rng, n, m, 0.35, 0, 3),
-                n, m, EXT_NAT, lambda v: ExtNat(abs(v)),
+            rows, dense = _build_pair(
+                random_int_entries(rng, n, m, 0.35, 0, 3), n, m
             )
             row = [ExtNat(rng.randint(0, 2)) for _ in range(n)]
-            got = vec_mat(
-                {i: v for i, v in enumerate(row) if not v.is_zero}, sparse
-            )
+            got = vec_mat({i: v for i, v in enumerate(row) if not v.is_zero}, rows)
             expected = [
                 sum((row[i] * dense[i][j] for i in range(n)), ZERO)
                 for j in range(m)
@@ -177,16 +172,22 @@ class TestRowSpaceFastPath:
 
 
 class TestValidation:
-    def test_ragged_dense_input_raises_decision_error(self):
-        with pytest.raises(DecisionError, match="ragged"):
-            SparseMatrix.from_dense([[ZERO, ONE], [ZERO]], EXT_NAT)
-
     def test_out_of_range_indices_raise_decision_error(self):
-        matrix = SparseMatrix(2, 2, EXT_NAT)
+        """A hand-built automaton naming a state outside ``num_states``
+        fails at :meth:`WFA.set_weight`, not as an ``IndexError`` later."""
+        wfa = WFA(
+            num_states=2, alphabet=frozenset("a"),
+            initial=[ONE, ZERO], final=[ZERO, ONE],
+        )
         with pytest.raises(DecisionError, match="out of range"):
-            matrix.set(2, 0, ONE)
+            wfa.set_weight("a", 2, 0, ONE)
         with pytest.raises(DecisionError, match="out of range"):
-            matrix.get(0, 5)
+            wfa.set_weight("a", 0, -1, ONE)
+        assert wfa.matrices.get("a", {}) == {}
+        wfa.set_weight("a", 0, 1, ExtNat(3))
+        assert wfa.weight(("a",)) == ExtNat(3)
+        wfa.set_weight("a", 0, 1, ZERO)  # a zero weight removes the edge
+        assert wfa.matrices["a"] == {}
 
     def test_vector_dimension_mismatch(self):
         space = RowSpace(3)
@@ -203,9 +204,9 @@ class TestReachability:
         for _ in range(30):
             n = rng.randint(1, 9)
             entries = random_int_entries(rng, n, n, 0.25, 1, 1)
-            adjacency = SparseMatrix.from_entries(
-                n, n, [(i, j, True) for i, j, _ in entries], BOOL
-            )
+            adjacency = {}
+            for i, j, _ in entries:
+                adjacency.setdefault(i, set()).add(j)
             seeds = {s for s in range(n) if rng.random() < 0.3}
             got = reachable(adjacency, seeds)
             expected = set(seeds)
@@ -229,15 +230,14 @@ class TestPipelineEndToEnd:
                 sparse_weight = wfa.weight(word)
                 row = list(wfa.initial)
                 for letter in word:
-                    matrix = wfa.matrices.get(letter)
-                    dense = (
-                        matrix.to_dense()
-                        if matrix is not None
-                        else [
-                            [ZERO] * wfa.num_states
-                            for _ in range(wfa.num_states)
+                    rows = wfa.matrices.get(letter, {})
+                    dense = [
+                        [
+                            rows.get(i, {}).get(j, ZERO)
+                            for j in range(wfa.num_states)
                         ]
-                    )
+                        for i in range(wfa.num_states)
+                    ]
                     row = [
                         sum(
                             (row[i] * dense[i][j] for i in range(wfa.num_states)),

@@ -7,10 +7,9 @@ transitive-inference ledger that once sat between the two is gone.  This
 suite pins:
 
 * the engine wiring — the ``verdicts`` stats section, the removed
-  inference toggles (``infer_verdicts=`` / ``REPRO_VERDICT_INFER``), warm
-  states saved with the ledger's fields, and deep products deciding on
-  the first call (recording a verdict must not recurse over the
-  expression);
+  inference toggles (``infer_verdicts=`` / ``REPRO_VERDICT_INFER``), and
+  deep products deciding on the first call (recording a verdict must not
+  recurse over the expression);
 * the store tier — unordered pair keys, round trips, corruption-as-miss,
   byte-budget eviction and ``describe``.
 """
@@ -72,33 +71,6 @@ class TestEngineInference:
         result = engine.equal_detailed(a, c)
         assert result.equal and not result.reason.startswith("inferred")
         assert engine.stats()["decisions"] == 3
-
-    def test_warm_state_round_trips_union_find(self, tmp_path):
-        """The ledger's warm-state fields are gone: a state saved with them
-        (the same persist format) still loads and serves its flat caches,
-        and a state saved now carries neither field."""
-        from repro.engine.persist import load_warm_state, save_warm_state
-
-        a, b = _assoc_family(2, seed=24)
-        source = NKAEngine("warm-src")
-        assert source.equal(a, b)
-        state = source.warm_state()
-        assert not hasattr(state, "verdict_classes")
-        assert not hasattr(state, "verdict_refutations")
-        # Fields as the ledger-era engine wrote them: one class, no refutations.
-        state.verdict_classes = [[a, b]]
-        state.verdict_refutations = []
-        path = str(tmp_path / "warm.pickle")
-        save_warm_state(state, path)
-        assert load_warm_state(path).verdict_classes == [[a, b]]
-
-        fresh = NKAEngine("warm-dst", warm_state=path)
-        assert fresh.stats()["warm_start"] == {"wfas_loaded": 2, "verdicts_loaded": 1}
-        assert pickle.dumps(fresh.equal_detailed(a, b)) == pickle.dumps(
-            source.equal_detailed(a, b)
-        )
-        assert fresh.stats()["decisions"] == 0
-        assert fresh.compilations == 0
 
     def test_ledger_section_in_stats_json(self):
         """The ledger's counters left the ``verdicts`` section; what stays
