@@ -420,7 +420,15 @@ def sum_extended_series(
     if not converged and not exhausted:
         residual = window if np.abs(window).max(initial=0.0) > tol else previous_window
         if residual is not None and np.abs(residual).max(initial=0.0) > tol:
-            infinite = support_projector(infinite + support_projector(residual, atol=tol))
+            # The support cut is relative to the window's own scale, as in
+            # ``star_apply_liouville``: a rank-one window grown to ~1e8 carries
+            # eps-relative eigenvalue noise (~1e-8) off its direction, which
+            # an absolute cut at ``tol`` would report as a second divergent
+            # direction.
+            scale = float(np.abs(residual).max(initial=0.0))
+            infinite = support_projector(
+                infinite + support_projector(residual, atol=max(tol, 1e-10 * scale))
+            )
         # The last window's support can miss growth whose direction rotates
         # between windows: after projecting out the detected directions, any
         # direction of the (truncated, still-growing) total that remains at

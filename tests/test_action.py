@@ -127,6 +127,18 @@ class TestSumSeries:
         total = sum_extended_series(terms, dim=2, max_terms=4096)
         assert not total.is_finite
 
+    def test_rank_one_geometric_growth_diverges_in_one_direction(self):
+        # The window at the divergence guard is ~1e8 along |ψ⟩; its float
+        # noise off |ψ⟩ must not make the orthogonal direction infinite.
+        psi = np.array([
+            -0.49397787494037915 - 0.1529870789894313j,
+            -0.8157855169621357 + 0.258988036492981j,
+        ])
+        rank_one = np.outer(psi, psi.conj())
+        terms = (ExtendedPositive.of(2.36 ** n * rank_one) for n in range(512))
+        total = sum_extended_series(terms, dim=2)
+        assert operator_close(total.infinite_projector, rank_one)
+
     def test_infinite_summand_propagates(self):
         terms = iter([
             ExtendedPositive.infinite(2, computational(0, 2)),

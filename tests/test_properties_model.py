@@ -147,6 +147,11 @@ class TestSoundnessTransferRandom:
         expr=Sum(Sum(Star(ZERO), Sum(ONE, ONE)), Star(Product(ONE, Symbol("a")))),
         seed=3,
     )
+    # Pinned: ``(b b*)*`` under seed 1 grows geometrically along one
+    # direction only.  The growth window at the 1e8 guard carried ~7e-9 of
+    # eigenvalue noise off that direction, which an absolute support cut
+    # at 1e-9 reported as divergence on the whole space on one side only.
+    @example(expr=Product(Symbol("b"), Star(Symbol("b"))), seed=1)
     @settings(max_examples=20, deadline=None)
     def test_fixed_point_instances_transfer(self, expr, seed):
         interp = self._interpretation(seed)
