@@ -7,8 +7,8 @@ batch API (reimplemented below as the baseline):
 
 * **planning** — dedupe by interned identity, per-pair alphabets (the PR 3
   path compiled everything over the whole batch's *union* alphabet, so
-  every Tzeng advance paid for letters the pair never mentions), and
-  cheapest-first ordering (``engine_cold``, one fresh engine per round);
+  every Tzeng advance paid for letters the pair never mentions;
+  ``engine_cold``, one fresh engine per round);
 * **cold compile** — a fresh engine compiles then decides the batch
   (``cold``); the cold compile must take no longer than the numpy cold
   compile of the ε-closure pipeline the position automaton replaced

@@ -17,8 +17,8 @@ now sits on top, :class:`repro.serving.NKAService`:
 3. **backpressure** — a flooding tenant is rejected with 429 semantics at
    its own ``max_queue`` while its neighbours never notice;
 4. **fleet verdict sharing** — two tenants pointed at one verdict store:
-   the coalescer's second-chance probe lets one tenant *serve* a verdict
-   its sibling published moments ago, negative cache notwithstanding;
+   one tenant *serves* a verdict its sibling published moments ago, even
+   right after its own read of that pair missed;
 5. **an HTTP front door** — ``POST /equal`` and ``GET /stats`` on a
    stdlib asyncio server;
 6. **graceful drain** — ``close()`` answers everything admitted, then
@@ -143,21 +143,17 @@ async def walkthrough() -> None:
     print(f"  ci is untouched: "
           f"{service.stats()['tenants']['ci']['rejected']} rejections there")
 
-    section("4. Fleet verdict sharing + the second-chance probe")
-    # replica-b's store handle caches *misses* for a couple of seconds
-    # (negative TTL): probe for a verdict nobody has published yet …
+    section("4. Fleet verdict sharing")
+    # replica-b reads a verdict nobody has published yet …
     assert store_b.get_verdict(expr_digest(left), expr_digest(right)) is None
-    # … then replica-a decides and publishes it.  Without the coalescer's
-    # second-chance probe, replica-b's cached miss would hide the verdict
-    # for the rest of the TTL; with it, the pair's negative entries are
-    # dropped just before planning and the verdict is *served*.
+    # … then replica-a decides and publishes it.  The store caches no
+    # misses, so replica-b's next read finds the entry and the verdict is
+    # *served*, not decided again.
     await service.equal_detailed("replica-a", left, right)   # decides + publishes
     await service.equal_detailed("replica-b", left, right)   # served off the store
     b = service.stats()["tenants"]["replica-b"]
     print(f"  replica-b: {b['engine']['decisions']} Tzeng runs, "
-          f"{b['engine']['verdicts']['store_hits']} verdicts off the store, "
-          f"{b['negative_invalidated']} negative-cache entries dropped "
-          f"by the second-chance probe")
+          f"{b['engine']['verdicts']['store_hits']} verdicts off the store")
 
     section("5. The HTTP front door")
     async with ServingHTTPServer(service) as http:

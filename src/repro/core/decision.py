@@ -38,7 +38,7 @@ owns the two stateful caches of the pipeline:
 
 Both are bounded LRUs; eviction never changes answers, only timing.  The
 upstream memos (``rewrite.flatten``, ``rewrite.match``, ``rewrite.rules``,
-``rewrite.occurrences``, ``planner.letters``, ``expr.alphabet``) are pure
+``rewrite.occurrences``, ``expr.alphabet``) are pure
 functions of interned nodes and stay **process-global**, shared by every
 engine session; the weak intern tables report read-only stats as
 ``rewrite.interned`` and are never cleared (entries vanish with their last
@@ -91,7 +91,7 @@ def cache_stats() -> Dict[str, CacheStats]:
 
     Includes the default session's compile cache (``decision.wfa``) and
     verdict cache (``decision.results``) plus the process-global memos
-    (``rewrite.flatten``, ``planner.letters``, ``expr.alphabet``, …).
+    (``rewrite.flatten``, ``expr.alphabet``, …).
     Private engine sessions report through their own
     :meth:`~repro.engine.NKAEngine.stats` instead.
     """
@@ -137,7 +137,7 @@ def nka_equal_many_detailed(
 
     The batch is deduped by interned identity (duplicates and symmetric
     flips collapse to one task), short-circuited against the verdict cache,
-    ordered cheapest-first, and run through the default engine's caches.
+    and run through the default engine's caches.
     Verdicts agree with the one-at-a-time API and land in the same caches.
     """
     return default_engine().equal_many_detailed(pairs)

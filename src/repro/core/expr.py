@@ -387,32 +387,64 @@ def product_factors(expr: Expr) -> List[Expr]:
 _ALPHABET_CACHE = LRUCache("expr.alphabet", maxsize=1 << 16)
 
 
+def _fold(expr: Expr, combine, memo=None):
+    """Bottom-up fold over ``expr``'s DAG with an explicit stack, so an
+    expression of any depth is walked without recursion.
+
+    ``combine(node, child_values)`` gives a node's value from its
+    children's values; each distinct node is combined once.  ``memo``, if
+    given, is an :class:`LRUCache` of composite nodes' values, consulted
+    before and filled after each combine (the local dict keeps the walk
+    correct when the walk outgrows it).
+    """
+    values: Dict[Expr, object] = {}
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        if node in values:
+            stack.pop()
+            continue
+        children = node.children()
+        value = memo.get(node) if memo is not None and children else None
+        if value is None:
+            pending = [child for child in children if child not in values]
+            if pending:
+                stack.extend(pending)
+                continue
+            value = combine(node, [values[child] for child in children])
+            if memo is not None and children:
+                memo.put(node, value)
+        values[node] = value
+        stack.pop()
+    return values[expr]
+
+
+def _letters(node: Expr, children: List[FrozenSet[str]]) -> FrozenSet[str]:
+    if isinstance(node, Symbol):
+        return frozenset((node.name,))
+    return frozenset().union(*children)
+
+
 def alphabet(expr: Expr) -> FrozenSet[str]:
     """The set of symbol names occurring in ``expr`` (memoized per node)."""
     if isinstance(expr, Symbol):
         return frozenset((expr.name,))
-    cached = _ALPHABET_CACHE.get(expr)
-    if cached is not None:
-        return cached
-    collected: FrozenSet[str] = frozenset()
-    for child in expr.children():
-        collected |= alphabet(child)
-    _ALPHABET_CACHE.put(expr, collected)
-    return collected
+    return _fold(expr, _letters, _ALPHABET_CACHE)
 
 
 def expr_size(expr: Expr) -> int:
     """Number of AST nodes (a standard size measure for benchmarks)."""
-    return 1 + sum(expr_size(child) for child in expr.children())
+    return _fold(expr, lambda node, children: 1 + sum(children))
 
 
 def star_height(expr: Expr) -> int:
     """Maximum nesting depth of stars."""
-    if isinstance(expr, Star):
-        return 1 + star_height(expr.body)
-    if not expr.children():
-        return 0
-    return max(star_height(child) for child in expr.children())
+    return _fold(
+        expr,
+        lambda node, children: (
+            1 + children[0] if isinstance(node, Star) else max(children, default=0)
+        ),
+    )
 
 
 def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
@@ -434,9 +466,11 @@ def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
 
 def subterms(expr: Expr) -> Iterator[Expr]:
     """Yield every subterm of ``expr`` (including itself), pre-order."""
-    yield expr
-    for child in expr.children():
-        yield from subterms(child)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 # -- rendering -----------------------------------------------------------------

@@ -48,7 +48,6 @@ _STORE_EXPORTS = (
     "CompileStore",
     "describe_store",
     "gc_store",
-    "open_default_store",
     "verdict_pair_key",
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "CompileStore",
     "describe_store",
     "gc_store",
-    "open_default_store",
     "verdict_pair_key",
     "PersistError",
     "pipeline_fingerprint",

@@ -13,21 +13,22 @@ cache registry.
 What an engine adds over the bare pipeline:
 
 * **query planning** (:mod:`repro.engine.planner`) — batches are deduped by
-  interned identity, short-circuited against the verdict cache and the
-  shared verdict store and ordered cheapest-first; the remaining tasks run
-  in order through the session's own caches;
-* **one verdict path** — pointer-equal → session verdict cache → shared
-  verdict store (:mod:`repro.engine.store`) → compile and decide; every
+  interned identity and short-circuited against the verdict cache and the
+  shared verdict store; the remaining tasks run in first-appearance order
+  through the session's own caches;
+* **one verdict path** — pointer-equal → session verdict cache → one read
+  of the shared verdict store (:mod:`repro.engine.store`) → compile and
+  decide; a pair the lookup missed is decided without a second read, every
   decided verdict is cached symmetrically and offered to the store, so a
   fresh process that mounts the store answers a known workload with zero
   compilations;
 * **metrics** — :meth:`NKAEngine.stats` unifies cache counters, planner
   dedupe ratios and executor timings into one JSON-dumpable report.
 
-Pure, input-determined memos (flattening, alphabets, letter counts,
-match results) stay process-global: they cannot leak information between
-sessions — their values are functions of their interned keys — and sharing
-them is exactly what makes a second engine in the same process cheap.
+Pure, input-determined memos (flattening, alphabets, match results) stay
+process-global: they cannot leak information between sessions — their
+values are functions of their interned keys — and sharing them is exactly
+what makes a second engine in the same process cheap.
 """
 
 from __future__ import annotations
@@ -44,13 +45,7 @@ from repro.automata.equivalence import EquivalenceResult, wfa_equivalent
 from repro.automata.wfa import WFA, expr_to_wfa
 from repro.core.expr import Expr, alphabet
 from repro.core.semiring import ExtNat
-from repro.engine.planner import (
-    IDENTICAL_RESULT,
-    PlanStats,
-    _default_cost_estimate,
-    cached_aware_cost_estimate,
-    plan_batch,
-)
+from repro.engine.planner import IDENTICAL_RESULT, PlanStats, plan_batch
 from repro.engine.persist import expr_digest
 from repro.util.cache import CacheRegistry, LRUCache, process_registry
 
@@ -187,12 +182,10 @@ class NKAEngine:
             # Hash-consing makes syntactic equality pointer identity, and
             # equal syntax trivially has equal series — no automaton needed.
             return IDENTICAL_RESULT
-        with self._lock:
-            cached = self._results.get((left, right))
-            if cached is not None:
-                self._verdict_cache_hits += 1
-                return cached
-        return self._decide_into_caches(left, right)
+        found = self._lookup(left, right)
+        if found is not None:
+            return found
+        return self._decide(left, right)
 
     def equal(self, left: Expr, right: Expr) -> bool:
         """Decide ``⊢NKA left = right`` (True iff derivable from the axioms)."""
@@ -207,34 +200,18 @@ class NKAEngine:
             self._results.put((left, right), result)
             self._results.put((right, left), result)
 
-    def _record_verdict(
-        self, left: Expr, right: Expr, result: EquivalenceResult
-    ) -> None:
-        """Count, cache and publish a verdict this session decided."""
+    def _lookup(self, left: Expr, right: Expr) -> Optional[EquivalenceResult]:
+        """The verdict tiers in front of a decide: session verdict cache,
+        then one read of the fleet's verdict store.  A store hit lands in
+        the session cache, so no pair is read from the store twice; only
+        decided verdicts live there, so serving from it preserves
+        byte-identity.  The planner and :meth:`equal_detailed` both call
+        this, and a miss goes straight to :meth:`_decide`."""
         with self._lock:
-            self._decisions += 1
-        self._cache_verdict(left, right, result)
-        store = self._store
-        if store is None:
-            return
-        try:
-            published = store.publish_verdict(
-                expr_digest(left), expr_digest(right), result
-            )
-        except Exception:
-            with self._lock:
-                self._store_errors += 1
-            return
-        if published:
-            with self._lock:
-                self._verdict_store_publishes += 1
-
-    def _verdict_store_lookup(
-        self, left: Expr, right: Expr
-    ) -> Optional[EquivalenceResult]:
-        """Probe the fleet's verdict store; a hit lands in the session's
-        verdict cache.  Only decided verdicts live there, so serving from
-        it preserves byte-identity."""
+            cached = self._results.get((left, right))
+            if cached is not None:
+                self._verdict_cache_hits += 1
+                return cached
         store = self._store
         if store is None:
             return None
@@ -250,56 +227,40 @@ class NKAEngine:
             self._cache_verdict(left, right, result)
         return result
 
-    def _plan_lookup(
-        self, left: Expr, right: Expr
-    ) -> Optional[EquivalenceResult]:
-        """Planner short-circuit: verdict cache → verdict store.  Anything
-        answered here is removed from the batch before a single automaton
-        is considered."""
-        with self._lock:
-            cached = self._results.get((left, right))
-            if cached is not None:
-                return cached
-        return self._verdict_store_lookup(left, right)
+    def _decide(self, left: Expr, right: Expr) -> EquivalenceResult:
+        """Compile and decide a pair :meth:`_lookup` missed; count, cache
+        and publish the verdict.
 
-    def invalidate_negative_verdicts(
-        self, pairs: Iterable[Tuple[Expr, Expr]]
-    ) -> int:
-        """Second-chance probe support: forget recent store *misses* for
-        these pairs so the next plan re-reads the disk.
-
-        The store's negative cache hides a sibling replica's publish for up
-        to its TTL (~2 s) of plan-time probes — fine for a lone engine,
-        wrong for a serving coalescer whose whole point is that concurrent
-        traffic across replicas overlaps.  Calling this just before
-        planning a coalesced batch guarantees the batch never re-decides a
-        pair a sibling published since the last probe.  Returns the number
-        of negative entries dropped; zero-cost no-op without a store.
+        The store is not read again: a pair a sibling published since the
+        lookup is decided once more, and its publish is skipped because
+        the entry exists (the verdict bytes are the same).
         """
+        result = wfa_equivalent(self.compile(left), self.compile(right))
+        with self._lock:
+            self._decisions += 1
+        self._cache_verdict(left, right, result)
         store = self._store
         if store is None:
-            return 0
-        # Lazy import mirrors the constructor: the store module stays out
-        # of sys.modules until a store is actually configured.
-        from repro.engine.store import verdict_pair_key
-
-        keys = {
-            verdict_pair_key(expr_digest(left), expr_digest(right))
-            for left, right in pairs
-        }
+            return result
         try:
-            return store.invalidate_negative(keys)
+            published = store.publish_verdict(
+                expr_digest(left), expr_digest(right), result
+            )
         except Exception:
             with self._lock:
                 self._store_errors += 1
-            return 0
+            return result
+        if published:
+            with self._lock:
+                self._verdict_store_publishes += 1
+        return result
 
     # -- batch API ---------------------------------------------------------
 
     def equal_many_detailed(
         self, pairs: Iterable[Tuple[Expr, Expr]]
     ) -> List[EquivalenceResult]:
-        """Decide a batch: plan (dedupe/short-circuit/order), run, merge.
+        """Decide a batch: plan (dedupe/short-circuit), run, merge.
 
         Verdicts are byte-identical to calling :meth:`equal_detailed` once
         per pair: the planner only removes work whose answer is already
@@ -308,20 +269,13 @@ class NKAEngine:
         """
         pairs = list(pairs)
         plan_started = time.perf_counter()
-        # Expressions already in the session's compile cache cost ~nothing,
-        # so ordering sees the batch's residual work, not phantom
-        # compilations.  The planner asks only for the tasks the verdict
-        # tiers leave, so only their expressions are probed.
-        cost_estimate = cached_aware_cost_estimate(
-            _default_cost_estimate, self.has_wfa
-        )
-        plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
+        plan = plan_batch(pairs, self._lookup)
         plan_seconds = time.perf_counter() - plan_started
         results = plan.results
         with self._exec_lock:
             execute_started = time.perf_counter()
             for task in plan.tasks:
-                result = self._decide_into_caches(task.left, task.right)
+                result = self._decide(task.left, task.right)
                 for position in task.positions:
                     results[position] = result
             execute_seconds = time.perf_counter() - execute_started
@@ -347,20 +301,6 @@ class NKAEngine:
         """Batched :meth:`equal`: one bool per pair."""
         return [result.equal for result in self.equal_many_detailed(pairs)]
 
-    def _decide_into_caches(self, left: Expr, right: Expr) -> EquivalenceResult:
-        """Decide one pair on this engine's caches: verdict store, then
-        compile and decide.
-
-        For a planned task the store is probed again: a sibling may have
-        published the pair since planning.
-        """
-        served = self._verdict_store_lookup(left, right)
-        if served is not None:
-            return served
-        result = wfa_equivalent(self.compile(left), self.compile(right))
-        self._record_verdict(left, right, result)
-        return result
-
     def _accumulate_plan_stats(self, stats: PlanStats) -> None:
         totals = self._plan_totals
         totals.queries += stats.queries
@@ -368,7 +308,6 @@ class NKAEngine:
         totals.verdict_cache_hits += stats.verdict_cache_hits
         totals.duplicates += stats.duplicates
         totals.tasks += stats.tasks
-        totals.estimated_cost += stats.estimated_cost
         totals.distinct_expressions += stats.distinct_expressions
 
     def close(self) -> None:
@@ -388,12 +327,6 @@ class NKAEngine:
         self.close()
 
     # -- auxiliary queries -------------------------------------------------
-
-    def has_wfa(self, expr: Expr) -> bool:
-        """Whether ``expr``'s automaton is in the session cache (no recency
-        effect, no compile) — cache observability for tests/tools."""
-        with self._lock:
-            return expr in self._wfa
 
     def coefficient(self, expr: Expr, word: Sequence[str]) -> ExtNat:
         """The coefficient ``{{expr}}[word]`` via the cached automaton.
@@ -427,8 +360,8 @@ class NKAEngine:
     def clear(self, reset_stats: bool = False) -> None:
         """Empty this session's caches (a pure memo reset).
 
-        Process-global memos (flattening, alphabets, letter counts) are
-        *not* touched — they are shared with other sessions; clear them through
+        Process-global memos (flattening, alphabets) are *not* touched —
+        they are shared with other sessions; clear them through
         :func:`repro.core.decision.clear_caches` if needed.
         """
         with self._lock:

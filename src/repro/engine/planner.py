@@ -10,11 +10,13 @@ problem rather than a loop:
   work;
 * **short-circuit** — pointer-equal pairs are answered inline (equal
   syntax trivially has equal series) and pairs whose verdict is already in
-  the engine's result cache never become tasks at all;
-* **cost ordering** — remaining tasks are ordered cheapest-first by the
-  expressions' position counts (letter occurrences + 1, the state count
-  of the position automaton :func:`repro.automata.wfa.expr_to_wfa` builds
-  before trimming), so short queries are not stuck behind expensive ones.
+  the engine's verdict tiers (session verdict cache, then one store read)
+  never become tasks at all.
+
+The remaining tasks keep the order in which their pairs first appear.
+They run one after another in one thread and the batch returns only when
+all are done, so no order would change a verdict or a latency a caller
+can see.
 
 Each expression is compiled over its **own** alphabet (the decision is
 alphabet-independent — see :func:`repro.automata.equivalence.wfa_equivalent`
@@ -34,25 +36,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.automata.equivalence import EquivalenceResult
-from repro.core.expr import Expr, Symbol
-from repro.util.cache import LRUCache
+from repro.core.expr import Expr
 
 __all__ = [
     "PlannedQuery",
     "PlanStats",
     "BatchPlan",
     "plan_batch",
-    "cached_aware_cost_estimate",
-    "CACHED_COST",
     "IDENTICAL_RESULT",
 ]
-
-# The nominal cost of an expression whose automaton is already in the
-# compile cache: not zero — the decision still runs on it — but small
-# enough that ordering treats it like a verdict-cache hit rather than a
-# compilation.
-CACHED_COST = 1
-
 
 # The inline verdict for pointer-equal pairs — the same object the engine's
 # decide() fast path returns, so planner short-circuits are indistinguishable
@@ -69,7 +61,6 @@ class PlannedQuery:
     task_id: int
     left: Expr
     right: Expr
-    cost: int
     positions: List[int] = field(default_factory=list)
 
 
@@ -83,7 +74,6 @@ class PlanStats:
     duplicates: int = 0
     tasks: int = 0
     distinct_expressions: int = 0
-    estimated_cost: int = 0
 
     @property
     def dedupe_ratio(self) -> float:
@@ -100,18 +90,17 @@ class PlanStats:
             "duplicates": self.duplicates,
             "tasks": self.tasks,
             "distinct_expressions": self.distinct_expressions,
-            "estimated_cost": self.estimated_cost,
             "dedupe_ratio": round(self.dedupe_ratio, 4),
         }
 
 
 @dataclass
 class BatchPlan:
-    """The executable shape of a batch: pre-resolved slots + ordered tasks.
+    """The executable shape of a batch: pre-resolved slots + tasks.
 
     ``results`` has one slot per original position; planner-resolved slots
     are filled, the rest are ``None`` until their task executes.  ``tasks``
-    are cheapest-first.
+    are in first-appearance order.
     """
 
     results: List[Optional[EquivalenceResult]]
@@ -119,86 +108,16 @@ class BatchPlan:
     stats: PlanStats
 
 
-_LETTER_COUNT_CACHE = LRUCache("planner.letters", maxsize=1 << 16)
-
-
-def _letter_occurrences(expr: Expr) -> int:
-    """Number of letter occurrences in ``expr`` (memoized per interned node).
-
-    An iterative post-order walk, so a product or nest of any depth is
-    counted without recursion.
-    """
-    counts: Dict[Expr, int] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if node in counts:
-            stack.pop()
-            continue
-        if isinstance(node, Symbol):
-            count = 1
-        else:
-            children = node.children()
-            count = _LETTER_COUNT_CACHE.get(node) if children else 0
-            if count is None:
-                pending = [child for child in children if child not in counts]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                count = sum(counts[child] for child in children)
-                _LETTER_COUNT_CACHE.put(node, count)
-        counts[node] = count
-        stack.pop()
-    return counts[expr]
-
-
-def _default_cost_estimate(expr: Expr) -> int:
-    """Position count of ``expr``: its letter occurrences + 1.
-
-    That is the untrimmed state count of its position automaton, a cheap
-    monotone proxy for compile and decide cost.
-    """
-    return _letter_occurrences(expr) + 1
-
-
-def cached_aware_cost_estimate(
-    base: Callable[[Expr], int],
-    is_cached: Callable[[Expr], bool],
-) -> Callable[[Expr], int]:
-    """A cost estimate that treats already-compiled expressions as near-free.
-
-    ``is_cached`` answers "is this expression's automaton already available
-    without compiling?" — the engine passes a probe over its session
-    compile cache, so a batch over already-compiled expressions orders as
-    the nearly-free workload it actually is instead of as a wall of
-    phantom compilations.  Cost only influences ordering, never verdicts,
-    so a wrong (raced) answer from ``is_cached`` costs at most a
-    suboptimal order.
-    """
-
-    def estimate(expr: Expr) -> int:
-        if is_cached(expr):
-            return CACHED_COST
-        return base(expr)
-
-    return estimate
-
-
 def plan_batch(
     pairs: Sequence[Tuple[Expr, Expr]],
     cached_verdict: Callable[[Expr, Expr], Optional[EquivalenceResult]],
-    cost_estimate: Optional[Callable[[Expr], int]] = None,
 ) -> BatchPlan:
-    """Plan a batch against an engine's verdict cache.
+    """Plan a batch against an engine's verdict tiers.
 
     ``cached_verdict`` is consulted once per distinct unordered pair (the
-    engine passes its result-cache lookup); planning itself compiles and
-    decides nothing.  ``cost_estimate`` maps an expression to a relative
-    compile cost (default: :func:`_default_cost_estimate`, the position
-    count); it only influences ordering, never verdicts.
+    engine passes its verdict lookup); planning itself compiles and
+    decides nothing.
     """
-    if cost_estimate is None:
-        cost_estimate = _default_cost_estimate
     stats = PlanStats(queries=len(pairs))
     results: List[Optional[EquivalenceResult]] = [None] * len(pairs)
     task_by_pair: Dict[Tuple[Expr, Expr], PlannedQuery] = {}
@@ -225,19 +144,11 @@ def plan_batch(
             task_id=len(tasks),
             left=left,
             right=right,
-            cost=cost_estimate(left) + cost_estimate(right),
             positions=[position],
         )
         task_by_pair[(left, right)] = task
         tasks.append(task)
-
-    # Cheapest-first, deterministically (ties broken by first appearance).
-    tasks.sort(key=lambda task: (task.cost, task.task_id))
-    for new_id, task in enumerate(tasks):
-        task.task_id = new_id
-
     stats.tasks = len(tasks)
-    stats.estimated_cost = sum(task.cost for task in tasks)
     distinct: set = set()
     for task in tasks:
         distinct.add(task.left)

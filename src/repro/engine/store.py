@@ -56,17 +56,14 @@ availability hostage to a single disk hiccup.  Entries embed
 renamed, cross-linked or produced by another pipeline fails validation
 even though its path looked right.
 
-Lookup caches
--------------
+Reads
+-----
 
-Each :class:`CompileStore` handle keeps an in-process **positive** cache
-(key → verdict, a bounded LRU — mostly for several engines sharing one
-handle) and a **negative** cache (key → monotonic timestamp): a recent
-miss is trusted for ``negative_ttl`` seconds before the disk is probed
-again, so a batch that misses a pair does not stat the same path
-repeatedly, while a publish from another process becomes visible at most
-one TTL later.  A local publish invalidates the negative entry
-immediately.
+A handle caches nothing: :meth:`CompileStore.get_verdict` reads the entry
+file, validates it and returns it.  The engine's session verdict cache
+sits in front and reads each pair from the store at most once, so there
+is no repeated probe to absorb, and a publish from any process is visible
+on the very next read.
 
 Eviction
 --------
@@ -93,12 +90,10 @@ import pickle
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.automata.equivalence import EquivalenceResult
 from repro.engine.persist import PersistError, pipeline_fingerprint
-from repro.util.cache import LRUCache
 
 __all__ = [
     "STORE_FORMAT",
@@ -107,22 +102,12 @@ __all__ = [
     "CompileStore",
     "describe_store",
     "gc_store",
-    "open_default_store",
     "verdict_pair_key",
 ]
 
 STORE_FORMAT = 1
 
 _VERDICT_MAGIC = "nka-verdict-store"
-
-# Environment variable naming a store root every engine should share by
-# default (see repro.engine.NKAEngine): one knob turns a whole fleet warm.
-ENV_STORE_ROOT = "REPRO_COMPILE_STORE"
-
-# How long a negative lookup (key known absent) is trusted before the
-# disk is probed again.  Long enough to de-duplicate probes within a batch,
-# short enough that another replica's publish is picked up promptly.
-NEGATIVE_TTL_SECONDS = 2.0
 
 _INDEX_NAME = "index"
 _VERDICT_SUFFIX = ".verdict"
@@ -180,34 +165,17 @@ class CompileStore:
             against power loss at a small latency cost; the default
             ``False`` still guarantees no *torn* entry, rename atomicity
             does not depend on it).
-        lookup_cache_size: bound of the in-process positive (verdict)
-            cache.
-        negative_ttl: seconds a negative lookup is trusted (see module
-            docs).
 
     Thread-safety: one handle may be shared by several engines/threads —
-    cache and counter mutations are lock-guarded; file operations rely on
+    counter mutations are lock-guarded; file operations rely on
     tmp+rename atomicity for cross-process safety.
     """
 
-    def __init__(
-        self,
-        root: str,
-        max_bytes: Optional[int] = None,
-        fsync: bool = False,
-        lookup_cache_size: int = 4096,
-        negative_ttl: float = NEGATIVE_TTL_SECONDS,
-    ):
+    def __init__(self, root: str, max_bytes: Optional[int] = None, fsync: bool = False):
         self.root = os.path.abspath(root)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.fsync = bool(fsync)
-        self.negative_ttl = float(negative_ttl)
         self._lock = threading.RLock()
-        self._positive = LRUCache(
-            "compile-store.positive", maxsize=max(1, lookup_cache_size), register=False
-        )
-        self._negative: "OrderedDict[str, float]" = OrderedDict()
-        self._negative_cap = max(16, 4 * lookup_cache_size)
         self._fingerprint: Optional[str] = None
         # Running per-process estimate of the fingerprint directory's size;
         # initialised lazily from the index, kept current by local
@@ -215,7 +183,6 @@ class CompileStore:
         self._bytes_estimate: Optional[int] = None
         self.hits = 0
         self.misses = 0
-        self.negative_hits = 0
         self.publishes = 0
         self.publish_skipped = 0
         self.evictions = 0
@@ -240,38 +207,7 @@ class CompileStore:
     def _index_path(self) -> str:
         return os.path.join(self._fingerprint_dir(), _INDEX_NAME)
 
-    def spec(self) -> Dict[str, Any]:
-        """A picklable description from which any process (fork *or* spawn)
-        reopens an equivalent handle — what to hand a child process instead
-        of the handle itself."""
-        return {
-            "root": self.root,
-            "max_bytes": self.max_bytes,
-            "fsync": self.fsync,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "CompileStore":
-        return cls(
-            spec["root"], max_bytes=spec.get("max_bytes"), fsync=spec.get("fsync", False)
-        )
-
     # -- lookup -------------------------------------------------------------
-
-    def _negative_get(self, key: str) -> bool:
-        entry = self._negative.get(key)
-        if entry is None:
-            return False
-        if time.monotonic() - entry >= self.negative_ttl:
-            self._negative.pop(key, None)
-            return False
-        return True
-
-    def _negative_put(self, key: str) -> None:
-        self._negative[key] = time.monotonic()
-        self._negative.move_to_end(key)
-        while len(self._negative) > self._negative_cap:
-            self._negative.popitem(last=False)
 
     def get_verdict(self, digest_a: str, digest_b: str) -> Optional[EquivalenceResult]:
         """The stored :class:`EquivalenceResult` of an unordered digest
@@ -284,22 +220,12 @@ class CompileStore:
         ``(format, fingerprint, key)`` before it is trusted.
         """
         key = verdict_pair_key(digest_a, digest_b)
-        with self._lock:
-            cached = self._positive.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            if self._negative_get(key):
-                self.negative_hits += 1
-                self.misses += 1
-                return None
         path = self._entry_path(key)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
             with self._lock:
-                self._negative_put(key)
                 self.misses += 1
             return None
         result = self._decode_verdict(data, key, path)
@@ -307,10 +233,8 @@ class CompileStore:
             if result is None:
                 self.corrupt_skipped += 1
                 self.misses += 1
-                return None
-            self._positive.put(key, result)
-            self._negative.pop(key, None)
-            self.hits += 1
+            else:
+                self.hits += 1
         return result
 
     def _decode_verdict(
@@ -355,15 +279,12 @@ class CompileStore:
         if os.path.exists(self._entry_path(key)):
             with self._lock:
                 self.publish_skipped += 1
-                self._negative.pop(key, None)
             return False
         data = dumps_artifact((_VERDICT_MAGIC, STORE_FORMAT, self.fingerprint, key, result))
         if not self._write_entry(key, data):
             return False
         with self._lock:
             self.publishes += 1
-            self._positive.put(key, result)
-            self._negative.pop(key, None)
             if self._bytes_estimate is not None:
                 self._bytes_estimate += len(data)
         if self.max_bytes is not None and self._estimate_bytes() > self.max_bytes:
@@ -476,7 +397,6 @@ class CompileStore:
                             continue
                         total -= size
                         evicted += 1
-                        self._positive.pop(key)
                     else:
                         keep.append((mtime, key, size))
                 survivors = keep
@@ -502,42 +422,6 @@ class CompileStore:
 
     # -- observability ------------------------------------------------------
 
-    def invalidate_negative(self, keys: Optional[Iterable[str]] = None) -> int:
-        """Forget recent *misses* so the next lookup re-probes the disk.
-
-        The negative cache trusts an absence for ``negative_ttl`` seconds —
-        correct for one engine polling its own store, but a coalesced batch
-        may contain a pair whose verdict a sibling replica published
-        *milliseconds ago*, right after this handle's plan-time probe cached
-        the miss.  The serving layer's second-chance probe calls this with
-        the batch's pair keys (see
-        ``NKAEngine.invalidate_negative_verdicts``) so such a pair is served
-        off the store instead of being re-decided.
-
-        ``keys`` are verdict pair keys; ``None`` drops every negative
-        entry.  The positive cache is untouched — a verdict never goes
-        stale, eviction only removes the file.  Returns the number of
-        entries dropped.
-        """
-        with self._lock:
-            if keys is None:
-                dropped = len(self._negative)
-                self._negative.clear()
-                return dropped
-            dropped = 0
-            for key in keys:
-                if self._negative.pop(key, None) is not None:
-                    dropped += 1
-            return dropped
-
-    def clear_lookup_cache(self) -> None:
-        """Drop the in-process positive/negative caches (the next reads go
-        to disk — used by tests and by replicas that want immediate
-        visibility of another process's publishes)."""
-        with self._lock:
-            self._positive.clear()
-            self._negative.clear()
-
     def stats(self) -> Dict[str, Any]:
         """JSON-friendly counters (the ``store`` section of engine stats)."""
         with self._lock:
@@ -546,7 +430,6 @@ class CompileStore:
                 "fingerprint": self.fingerprint[:12],
                 "hits": self.hits,
                 "misses": self.misses,
-                "negative_hits": self.negative_hits,
                 "publishes": self.publishes,
                 "publish_skipped": self.publish_skipped,
                 "evictions": self.evictions,
@@ -554,21 +437,10 @@ class CompileStore:
                 "write_errors": self.write_errors,
                 "bytes": self._estimate_bytes(),
                 "max_bytes": self.max_bytes,
-                "lookup_cached": len(self._positive),
             }
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"CompileStore({self.root!r}, max_bytes={self.max_bytes})"
-
-
-def open_default_store() -> Optional[CompileStore]:
-    """The store named by ``REPRO_COMPILE_STORE``, or ``None``.
-
-    Engines constructed without an explicit ``store=`` consult this, so one
-    environment variable points a whole fleet of processes at one shared
-    store.  Opening touches no disk (see :class:`CompileStore`)."""
-    root = os.environ.get(ENV_STORE_ROOT)
-    return CompileStore(root) if root else None
 
 
 # -- ops CLI --------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.programs.syntax import (
     While,
 )
 from repro.quantum.hilbert import Space
-from repro.quantum.superoperator import Superoperator
+from repro.quantum.superoperator import Superoperator, _choi
 from repro.util.errors import SemanticsError
 
 __all__ = [
@@ -127,13 +127,7 @@ def loop_superoperator(
 
 def _superoperator_from_liouville(liouville: np.ndarray, dim: int) -> Superoperator:
     """Recover a Kraus form from a (CP) Liouville matrix via the Choi matrix."""
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            basis = np.zeros((dim, dim), dtype=complex)
-            basis[i, j] = 1.0
-            image = (liouville @ basis.flatten(order="F")).reshape((dim, dim), order="F")
-            choi += np.kron(basis, image)
+    choi = _choi(liouville, dim)
     choi = (choi + choi.conj().T) / 2
     eigenvalues, eigenvectors = np.linalg.eigh(choi)
     kraus: List[np.ndarray] = []

@@ -197,12 +197,16 @@ def _prune(kraus: Iterable[np.ndarray]) -> List[np.ndarray]:
 
 
 def _choi(liouville: np.ndarray, dim: int) -> np.ndarray:
-    """Choi matrix from the Liouville matrix (column-stacking convention)."""
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            basis = np.zeros((dim, dim), dtype=complex)
-            basis[i, j] = 1.0
-            image = unvec(liouville @ vec(basis), dim)
-            choi += np.kron(basis, image)
-    return choi
+    """Choi matrix ``Σ_ij |i⟩⟨j| ⊗ Φ(|i⟩⟨j|)`` from the Liouville matrix
+    (column-stacking convention).
+
+    It is an index permutation: ``Choi[(i, p), (j, q)] = Φ(|i⟩⟨j|)[p, q]
+    = L[(q, p), (j, i)]``, with the Liouville row ``p + d·q`` and column
+    ``i + d·j`` split C-order into ``(q, p)`` and ``(j, i)``.
+    """
+    return (
+        np.asarray(liouville, dtype=complex)
+        .reshape(dim, dim, dim, dim)
+        .transpose(3, 1, 2, 0)
+        .reshape(dim * dim, dim * dim)
+    )

@@ -93,8 +93,6 @@ class TenantMetrics:
     ``batches`` counts executed coalesced batches; ``completed / batches``
     is the coalesce ratio — 1.0 means the coalescer never merged anything,
     higher means that many requests rode each engine batch on average.
-    ``negative_invalidated`` counts store negative-cache entries dropped
-    by the second-chance probe before each batch.
     """
 
     def __init__(self) -> None:
@@ -104,7 +102,6 @@ class TenantMetrics:
         self.rejected = 0
         self.failed = 0
         self.batches = 0
-        self.negative_invalidated = 0
 
     def note_submitted(self) -> None:
         with self._lock:
@@ -123,10 +120,6 @@ class TenantMetrics:
         with self._lock:
             self.failed += request_count
 
-    def note_invalidated(self, entry_count: int) -> None:
-        with self._lock:
-            self.negative_invalidated += entry_count
-
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             batches = self.batches
@@ -138,5 +131,4 @@ class TenantMetrics:
                 "failed": self.failed,
                 "batches": batches,
                 "coalesce_ratio": round(completed / batches, 3) if batches else 0.0,
-                "negative_invalidated": self.negative_invalidated,
             }

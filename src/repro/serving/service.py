@@ -173,11 +173,10 @@ class NKAService:
             for batch execution; ``None`` (default) creates one sized to
             the tenant count (one slot per tenant is the natural width:
             each tenant has at most one batch in flight).
-        second_chance_probe: before each coalesced batch, drop the store's
-            negative-cache memory of the batch's pairs
-            (:meth:`NKAEngine.invalidate_negative_verdicts`) so a verdict
-            a sibling replica published seconds ago is *served*, not
-            re-decided.  On by default; a no-op for storeless tenants.
+
+    Tenants that share a store see each other's publishes on their next
+    read: the store keeps no lookup cache, so a verdict a sibling
+    published is served, not re-decided.
 
     Use as an async context manager, or call :meth:`start` / :meth:`close`
     explicitly.  All public coroutines must run on the loop that called
@@ -189,7 +188,6 @@ class NKAService:
         tenants: Iterable[Union[str, TenantConfig]],
         *,
         executor: Optional[ThreadPoolExecutor] = None,
-        second_chance_probe: bool = True,
     ):
         self._tenants: Dict[str, _Tenant] = {}
         self._configs: List[TenantConfig] = []
@@ -202,7 +200,6 @@ class NKAService:
             raise ValueError("a service needs at least one tenant")
         self._executor = executor
         self._own_executor = executor is None
-        self._second_chance = bool(second_chance_probe)
         self._started = False
         self._closed = False
         self._close_future: Optional["asyncio.Future"] = None
@@ -349,7 +346,7 @@ class NKAService:
             pairs = [request.pair for request in batch]
             try:
                 results = await loop.run_in_executor(
-                    self._executor, self._execute_batch, tenant, pairs
+                    self._executor, tenant.engine.equal_many_detailed, pairs
                 )
             except Exception:
                 # One bad pair must not fail its neighbours: re-run each
@@ -386,7 +383,7 @@ class NKAService:
         for request in batch:
             try:
                 (result,) = await loop.run_in_executor(
-                    self._executor, self._execute_batch, tenant, [request.pair]
+                    self._executor, tenant.engine.equal_many_detailed, [request.pair]
                 )
             except Exception as error:  # engine bug / executor torn down
                 if not request.future.done():
@@ -401,16 +398,6 @@ class NKAService:
                 completed += 1
         if completed:
             tenant.metrics.note_batch(completed)
-
-    def _execute_batch(
-        self, tenant: _Tenant, pairs: List[Tuple[Expr, Expr]]
-    ) -> List[EquivalenceResult]:
-        """Executor-thread body: second-chance probe, then the planned batch."""
-        if self._second_chance:
-            dropped = tenant.engine.invalidate_negative_verdicts(pairs)
-            if dropped:
-                tenant.metrics.note_invalidated(dropped)
-        return tenant.engine.equal_many_detailed(pairs)
 
     # -- observability -------------------------------------------------------
 

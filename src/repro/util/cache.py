@@ -12,7 +12,7 @@ Two scopes of registry exist:
   :func:`clear_all_caches`, re-exported as
   :func:`repro.core.decision.cache_stats` /
   :func:`repro.core.decision.clear_caches`) holds the pure, process-wide
-  memos — ``rewrite.flatten``, ``planner.letters``, ``expr.alphabet`` — plus
+  memos — ``rewrite.flatten``, ``expr.alphabet`` — plus
   the caches of the *default* engine session;
 * each :class:`repro.engine.NKAEngine` owns a **private**
   :class:`CacheRegistry` for its compile/verdict caches, so multiple
@@ -193,12 +193,6 @@ class LRUCache:
             except KeyError:  # another thread emptied it first
                 break
             self.evictions += 1
-
-    def pop(self, key: Hashable, default: Any = None) -> Any:
-        """Remove and return an entry (no hit/miss counters — removal is
-        bookkeeping, not a lookup).  Used by the compile store to drop a
-        locally cached WFA whose on-disk entry was just evicted."""
-        return self._data.pop(key, default)
 
     def __len__(self) -> int:
         return len(self._data)

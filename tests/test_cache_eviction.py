@@ -122,6 +122,6 @@ class TestWFACacheBounded:
         nka_equal(parse("a b"), parse("b a"))
         stats = cache_stats()
         for name in ("decision.wfa", "decision.results", "rewrite.flatten",
-                     "planner.letters", "expr.alphabet"):
+                     "expr.alphabet"):
             assert name in stats, f"missing pipeline cache {name}"
         assert stats["decision.wfa"].misses >= 2  # both sides compiled

@@ -4,8 +4,8 @@ The store holds decided verdicts only (``.verdict`` entries, one per
 unordered digest pair).  Six surfaces:
 
 * **store semantics** — publish/get round-trips, digest stability across
-  re-interning, negative/positive lookup caches, the silently-a-miss
-  corruption contract (torn bytes, foreign fingerprints, misaddressed
+  re-interning, another handle's publish visible on the next read, the
+  silently-a-miss corruption contract (torn bytes, foreign fingerprints, misaddressed
   files), and index-driven size-budget eviction;
 * **stores from older writers** — ``.wfa`` (compiled-automaton) entries
   left in the current fingerprint directory are never read, their
@@ -20,7 +20,8 @@ unordered digest pair).  Six surfaces:
   published and served to a second engine;
 * **engine wiring** — ``NKAEngine(store=...)`` / ``REPRO_COMPILE_STORE``
   serve verdicts from the store (zero compilations and decisions on a
-  warm store), publish fresh ones, and surface a ``store`` stats section;
+  warm store) with at most one store read per pair, publish fresh ones,
+  and surface a ``store`` stats section;
 * **concurrency** — N processes publishing and reading the same digests
   concurrently, and a publisher SIGKILLed mid-stream, must leave no
   visible torn entry (every survivor loads cleanly, temp debris stays
@@ -139,19 +140,19 @@ class TestStoreSemantics:
         # equal, but different symbols do not.
         assert persist.expr_digest(sym("p")) != persist.expr_digest(sym("q"))
 
-    def test_negative_cache_expires(self, tmp_path):
+    def test_sibling_publish_visible_on_next_read(self, tmp_path):
+        """A handle caches no miss: another handle's publish is served on
+        the very next read, with no delay and no invalidation call."""
         root = str(tmp_path)
         pair = _pairs(1)[0]
-        reader = CompileStore(root, negative_ttl=0.05)
+        reader = CompileStore(root)
         assert reader.get_verdict(*pair) is None
-        # Within the TTL the disk is not probed again.
-        assert reader.get_verdict(*pair) is None
-        assert reader.stats()["negative_hits"] >= 1
         # Another process (simulated: a second handle) publishes...
         CompileStore(root).publish_verdict(*pair, _RESULT)
-        time.sleep(0.06)
-        # ...and after the TTL the publish becomes visible.
-        assert reader.get_verdict(*pair) is not None
+        # ...and the reader's next read finds it.
+        served = reader.get_verdict(*pair)
+        assert pickle.dumps(served) == pickle.dumps(_RESULT)
+        assert (reader.stats()["hits"], reader.stats()["misses"]) == (1, 1)
 
     def test_torn_entry_is_silently_a_miss(self, tmp_path):
         root = str(tmp_path)
@@ -255,13 +256,6 @@ class TestStoreSemantics:
         for pair in pairs:
             assert CompileStore(root).get_verdict(*pair) is not None
 
-    def test_spec_round_trip(self, tmp_path):
-        store = CompileStore(str(tmp_path), max_bytes=12345, fsync=True)
-        clone = CompileStore.from_spec(store.spec())
-        assert clone.root == store.root
-        assert clone.max_bytes == 12345
-        assert clone.fsync is True
-
 
 class TestLegacyWfaEntries:
     """Stores written while the store also held compiled automata: those
@@ -316,75 +310,6 @@ class TestLegacyWfaEntries:
             again = served.equal_many_detailed(pairs)
             assert served.stats()["decisions"] == 0
         assert pickle.dumps(again) == pickle.dumps(baseline)
-
-
-class TestNegativeCacheInvalidation:
-    """Regression (serving satellite): the negative-TTL cache must have an
-    explicit bypass.  A handle that recently missed a verdict trusts that
-    miss for ``negative_ttl`` seconds — long enough to hide a verdict a
-    sibling replica published *after* the probe, which would make a
-    coalesced batch re-decide a pair the fleet already answered.  These
-    tests fail on the pre-PR store with ``AttributeError``."""
-
-    def test_invalidate_reveals_sibling_publish_within_ttl(self, tmp_path):
-        root = str(tmp_path / "store")
-        # A generous TTL makes the hiding deterministic, not timing-luck.
-        replica_a = CompileStore(root, negative_ttl=60.0)
-        replica_b = CompileStore(root)
-        left, right = _exprs(2, seed=7)
-        digest_l = persist.expr_digest(left)
-        digest_r = persist.expr_digest(right)
-        verdict = EquivalenceResult(
-            equal=True, counterexample=None, reason="test verdict"
-        )
-        # A probes first: the miss is cached negatively.
-        assert replica_a.get_verdict(digest_l, digest_r) is None
-        # B (the sibling replica) publishes right afterwards.
-        assert replica_b.publish_verdict(digest_l, digest_r, verdict) is True
-        # A's negative cache still hides the entry — the bug being bypassed.
-        assert replica_a.get_verdict(digest_l, digest_r) is None
-        assert replica_a.negative_hits > 0
-        # The second-chance bypass: drop the negative entry, re-read disk.
-        key = verdict_pair_key(digest_l, digest_r)
-        assert replica_a.invalidate_negative([key]) == 1
-        served = replica_a.get_verdict(digest_l, digest_r)
-        assert served is not None
-        assert pickle.dumps(served) == pickle.dumps(verdict)
-
-    def test_invalidate_everything_and_unknown_keys(self, tmp_path):
-        store = CompileStore(str(tmp_path / "store"), negative_ttl=60.0)
-        pairs = _pairs(3, seed=8)
-        for pair in pairs:
-            assert store.get_verdict(*pair) is None  # seeds one negative entry each
-        assert store.invalidate_negative(["no-such-key"]) == 0
-        assert store.invalidate_negative() == len(pairs)
-        assert store.invalidate_negative() == 0  # already empty
-
-    def test_engine_second_chance_helper(self, tmp_path):
-        """``NKAEngine.invalidate_negative_verdicts`` drops the pair key,
-        and no-ops without a store."""
-        root = str(tmp_path / "store")
-        engine = NKAEngine(
-            "second-chance", store=CompileStore(root, negative_ttl=60.0)
-        )
-        sibling = CompileStore(root)
-        left, right = _exprs(2, seed=9)
-        digest_l = persist.expr_digest(left)
-        digest_r = persist.expr_digest(right)
-        # Seed the negative exactly as a plan-time probe would.
-        assert engine.store.get_verdict(digest_l, digest_r) is None
-        sibling.publish_verdict(
-            digest_l,
-            digest_r,
-            EquivalenceResult(equal=True, counterexample=None, reason="t"),
-        )
-        dropped = engine.invalidate_negative_verdicts([(left, right)])
-        assert dropped == 1  # the pair key
-        assert engine.store.get_verdict(digest_l, digest_r) is not None
-        # Storeless engines answer zero without touching anything.
-        assert NKAEngine("no-store", store=False).invalidate_negative_verdicts(
-            [(left, right)]
-        ) == 0
 
 
 class TestFingerprintDiscipline:
@@ -556,36 +481,53 @@ class TestEngineWiring:
             if name.endswith(".wfa")
         ]
 
-    def test_plan_probes_only_the_residual_pairs(self, tmp_path, monkeypatch):
-        """A replica batch of N store-known pairs plus one novel pair asks
-        the cost model about the novel pair's two expressions only: the
-        verdict tiers answer the rest before any cost is estimated, and the
-        cost model reads the session compile cache, never the store."""
+    def test_one_store_read_per_pair(self, tmp_path, monkeypatch):
+        """Each pair costs at most one ``get_verdict`` call, on the batch
+        path and on the single-query path: a store hit lands in the
+        session verdict cache, and a miss is decided without reading the
+        store again."""
         root = str(tmp_path)
         known = [
             (left, right)
             for left, right in random_pairs(seed=907, count=24, depth=3)
             if left is not right
         ]
+        distinct_known = {frozenset(pair) for pair in known}
+        reads = []
+        real_get_verdict = CompileStore.get_verdict
+
+        def counting(self, digest_a, digest_b):
+            reads.append(verdict_pair_key(digest_a, digest_b))
+            return real_get_verdict(self, digest_a, digest_b)
+
+        monkeypatch.setattr(CompileStore, "get_verdict", counting)
+        # A storeful batch over P distinct undecided pairs: P reads.
         with NKAEngine("probe-pub", store=root) as publisher:
             publisher.equal_many_detailed(known)
+            assert publisher.stats()["decisions"] == len(distinct_known)
+        assert len(reads) == len(distinct_known)
+
+        # A replica batch of N store-known pairs + 1 novel pair: N + 1.
         novel = (sym("probe_novel_l"), Star(sym("probe_novel_r")))
         batch = known + [novel]
-
-        probed = []
-        real_has_wfa = NKAEngine.has_wfa
-
-        def counting(self, expr):
-            probed.append(expr)
-            return real_has_wfa(self, expr)
-
-        monkeypatch.setattr(NKAEngine, "has_wfa", counting)
+        reads.clear()
         with NKAEngine("probe-replica", store=root) as replica:
             verdicts = replica.equal_many_detailed(batch)
             assert replica.compilations == 2
             assert replica.stats()["decisions"] == 1
-        assert 0 < len(probed) <= 2
-        assert set(probed) <= set(novel)
+        assert len(reads) == len(distinct_known) + 1
+        assert len(set(reads)) == len(reads)
+
+        # The single-query path: one read for a novel pair, then none.
+        reads.clear()
+        single = NKAEngine("probe-single", store=root)
+        pair = (sym("probe_single_l"), Star(sym("probe_single_r")))
+        single.equal_detailed(*pair)
+        single.equal_detailed(*reversed(pair))
+        single.equal_detailed(*known[0])
+        single.equal_detailed(*known[0])
+        assert len(reads) == 2
+        assert single.stats()["verdicts"]["store_hits"] == 1
 
         reference = NKAEngine("probe-ref", store=False)
         expected = [reference.equal_detailed(left, right) for left, right in batch]
@@ -632,13 +574,13 @@ class TestEngineWiring:
 # -- multiprocess stress --------------------------------------------------------
 #
 # Child entry points live at module level so they pickle under spawn; each
-# re-opens the store from its spec.
+# re-opens the store from its root path.
 
 
-def _stress_child(spec, rounds, barrier, results):
+def _stress_child(root, rounds, barrier, results):
     from repro.engine.store import CompileStore
 
-    store = CompileStore.from_spec(spec)
+    store = CompileStore(root)
     pairs = _pairs(6, seed="stress")  # every process: the SAME keys
     barrier.wait()  # maximise publish collisions
     served = 0
@@ -648,15 +590,14 @@ def _stress_child(spec, rounds, barrier, results):
                 store.publish_verdict(*pair, _RESULT)
             else:
                 served += 1
-        store.clear_lookup_cache()  # force disk reads next round
     results.put((served, store.stats()["corrupt_skipped"]))
 
 
-def _kill_victim_child(spec, ready):
+def _kill_victim_child(root, ready):
     """Publish entries forever until SIGKILLed mid-stream."""
     from repro.engine.store import CompileStore
 
-    store = CompileStore.from_spec(spec)
+    store = CompileStore(root)
     index = 0
     while True:
         store.publish_verdict(*_pairs(1, seed=f"victim{index}")[0], _RESULT)
@@ -675,12 +616,12 @@ class TestConcurrentAccess:
         serves, every read is either a clean verdict or a clean miss, and
         the store ends exactly one entry per key."""
         ctx = multiprocessing.get_context(start_method)
-        spec = CompileStore(str(tmp_path)).spec()
+        root = str(tmp_path)
         workers = 4
         barrier = ctx.Barrier(workers)
         results = ctx.Queue()
         children = [
-            ctx.Process(target=_stress_child, args=(spec, 5, barrier, results))
+            ctx.Process(target=_stress_child, args=(root, 5, barrier, results))
             for _ in range(workers)
         ]
         for child in children:
@@ -704,9 +645,8 @@ class TestConcurrentAccess:
     @START_METHODS
     def test_sigkill_mid_publish_leaves_no_torn_entry(self, tmp_path, start_method):
         ctx = multiprocessing.get_context(start_method)
-        spec = CompileStore(str(tmp_path)).spec()
         ready = ctx.Event()
-        victim = ctx.Process(target=_kill_victim_child, args=(spec, ready))
+        victim = ctx.Process(target=_kill_victim_child, args=(str(tmp_path), ready))
         victim.start()
         assert ready.wait(timeout=60), "victim never started publishing"
         os.kill(victim.pid, signal.SIGKILL)

@@ -94,12 +94,17 @@ class TestPlanner:
         assert stats.tasks == 2              # (a, b) and (a, c)
         assert stats.dedupe_ratio == pytest.approx(1 - 2 / 5)
 
-    def test_tasks_ordered_cheapest_first(self):
-        small = parse("a")
+    def test_tasks_in_first_appearance_order(self):
+        """No cost ordering: an expensive pair listed first stays first."""
+        small, b = parse("a"), parse("b")
         big = parse("((a + b)* (b c)* + c)*")
-        plan = plan_batch([(big, small), (small, parse("b"))], lambda l, r: None)
-        costs = [task.cost for task in plan.tasks]
-        assert costs == sorted(costs)
+        pairs = [(big, small), (small, b), (b, small), (big, b)]
+        plan = plan_batch(pairs, lambda l, r: None)
+        assert [(task.left, task.right) for task in plan.tasks] == [
+            (big, small), (small, b), (big, b)
+        ]
+        assert [task.task_id for task in plan.tasks] == [0, 1, 2]
+        assert [task.positions for task in plan.tasks] == [[0], [1, 2], [3]]
 
     def test_cached_verdicts_short_circuit(self):
         a, b = parse("a"), parse("b")
@@ -148,13 +153,20 @@ class TestBatchSemantics:
 
     def test_long_product_decides_through_both_apis(self):
         """A 20,000-letter product is accepted by the batch API exactly as
-        by the single-pair API: the planner's letter count walks the
-        expression iteratively instead of recursing once per factor."""
+        by the single-pair API, with no recursion once per factor."""
         pair = (parse(" ".join(["a"] * 20000)), parse("a"))
         batched = NKAEngine(store=False).equal_many_detailed([pair])[0]
         single = NKAEngine(store=False).equal_detailed(*pair)
         assert not single.equal and single.counterexample == ("a",)
         assert pickle.dumps(batched) == pickle.dumps(single)
+
+    def test_leq_refute_on_long_product(self):
+        """Regression: ``leq_refute`` raised ``RecursionError`` on a
+        2,000-letter product, through the recursive ``alphabet`` walk."""
+        product, a = parse(" ".join(["a"] * 2000)), parse("a")
+        engine = NKAEngine(store=False)
+        assert engine.leq_refute(product, a) is None
+        assert engine.leq_refute(a, product) == ("a",)
 
     def test_batch_stats_expose_dedupe_and_timings(self):
         engine = NKAEngine("stats")
@@ -186,13 +198,14 @@ class TestWarmBack:
         pairs = _fresh_pairs(seed=212, count=40)
         engine = self._engine_after_batch(pairs)
         # Every distinct expression the planner turned into a task is in
-        # the compile cache, compiled exactly once, and each task's
-        # verdict was stored exactly once.
+        # the compile cache (compiling it again compiles nothing), compiled
+        # exactly once, and each task's verdict was stored exactly once.
+        first = engine.stats()
         plan = plan_batch(pairs, lambda left, right: None)
         for task in plan.tasks:
-            assert engine.has_wfa(task.left), task.left
-            assert engine.has_wfa(task.right), task.right
-        first = engine.stats()
+            engine.compile(task.left)
+            engine.compile(task.right)
+        assert engine.compilations == first["compilations"]
         assert first["compilations"] == first["planner"]["distinct_expressions"]
         assert first["decisions"] == first["planner"]["tasks"]
         engine.close()  # releases nothing: the caches survive it

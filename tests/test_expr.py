@@ -98,6 +98,37 @@ class TestMetrics:
         assert expr in collected and a in collected and b in collected
         assert len(collected) == 4
 
+    def test_subterms_pre_order(self):
+        a, b, c = symbols("a b c")
+        product = a * b
+        expr = product.star() + (c + product)
+        assert list(subterms(expr)) == [
+            expr, product.star(), product, a, b, c + product, c, product, a, b
+        ]
+
+    def test_walkers_at_depth_100000(self):
+        """The metric walkers keep their own stacks: a 10⁵-letter product
+        and a 10⁵-deep star/sum nest raise no ``RecursionError``."""
+        letters = [sym(f"x{i % 7}") for i in range(100_000)]
+        product = product_of(letters)
+        assert alphabet(product) == frozenset(f"x{i}" for i in range(7))
+        assert expr_size(product) == 199_999
+        assert star_height(product) == 0
+        walked = list(subterms(product))
+        assert len(walked) == 199_999
+        assert walked[0] is product and walked[-1] is letters[-1]
+
+        a, b = sym("a"), sym("b")
+        nest = a
+        for depth in range(100_000):
+            nest = Star(nest) if depth % 2 else Sum(b, nest)
+        assert alphabet(nest) == frozenset({"a", "b"})
+        assert expr_size(nest) == 150_001  # 50,000 stars, sums and b's, plus a
+        assert star_height(nest) == 50_000
+        walked = list(subterms(nest))
+        assert len(walked) == 150_001
+        assert walked[:3] == [nest, nest.body, b] and walked[-1] is a
+
 
 class TestSubstitution:
     def test_substitute_symbol(self):

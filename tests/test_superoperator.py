@@ -129,3 +129,47 @@ class TestPredicatesAndOrder:
         total = m.branch(0) + m.branch(1)
         assert total.loewner_dominates(m.branch(0))
         assert not m.branch(0).loewner_dominates(total)
+
+
+def _choi_by_kron(liouville, dim):
+    """The Choi matrix ``Σ_ij |i⟩⟨j| ⊗ Φ(|i⟩⟨j|)`` built term by term: the
+    reference the index-permutation construction must reproduce."""
+    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            basis = np.zeros((dim, dim), dtype=complex)
+            basis[i, j] = 1.0
+            choi += np.kron(basis, unvec(liouville @ vec(basis), dim))
+    return choi
+
+
+class TestChoiMatrix:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_index_permutation_matches_kron_sum(self, dim):
+        from repro.quantum.superoperator import _choi
+
+        rng = np.random.default_rng(dim)
+        # A non-Hermitian-preserving Liouville matrix checks every index.
+        liouville = rng.normal(size=(dim**2, dim**2)) + 1j * rng.normal(
+            size=(dim**2, dim**2)
+        )
+        # Each Choi entry is one Liouville entry (the other kron terms add
+        # exact zeros), so the two constructions agree exactly.
+        assert np.array_equal(_choi(liouville, dim), _choi_by_kron(liouville, dim))
+        superop = Superoperator(
+            [random_unitary(dim, rng) * 0.6, random_unitary(dim, rng) * 0.7]
+        )
+        assert np.array_equal(
+            _choi(superop.liouville, dim), _choi_by_kron(superop.liouville, dim)
+        )
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_kraus_recovered_from_liouville(self, dim):
+        from repro.programs.semantics import _superoperator_from_liouville
+
+        rng = np.random.default_rng(10 + dim)
+        superop = Superoperator(
+            [random_unitary(dim, rng) * 0.5, random_unitary(dim, rng) * 0.6]
+        )
+        recovered = _superoperator_from_liouville(superop.liouville, dim)
+        assert np.allclose(recovered.liouville, superop.liouville)

@@ -148,7 +148,6 @@ class TestVerdictStore:
         assert published > 4
         evicted = store.evict(max_bytes=0)
         assert evicted == published
-        store.clear_lookup_cache()
         left, right = next((l, r) for l, r in pairs if l is not r)
         assert store.get_verdict(expr_digest(left), expr_digest(right)) is None
 
