@@ -120,8 +120,10 @@ async def walkthrough() -> None:
     row = service.stats()["tenants"]["ci"]
     planner = row["engine"]["planner"]
     print(f"  {len(workload)} concurrent requests answered "
-          f"({sum(r.equal for r in results)} equal) in {row['batches']} "
-          f"engine batches — coalesce ratio {row['coalesce_ratio']:.1f}")
+          f"({sum(r.equal for r in results)} equal): "
+          f"{row['admission_hits']} at admission, the rest in "
+          f"{row['batches']} engine batches — coalesce ratio "
+          f"{row['coalesce_ratio']:.1f}")
     print(f"  planner saw the batch, not the requests: "
           f"{planner['pointer_equal']:.0f} pointer-equal, "
           f"{planner['duplicates']:.0f} duplicates, "

@@ -88,8 +88,10 @@ from repro.core.expr import (
     Sum,
     Symbol,
     Zero,
+    product_factors,
     product_of,
     sum_of,
+    sum_terms,
 )
 from repro.util.cache import CacheStats, LRUCache, register_stats_provider
 
@@ -400,6 +402,17 @@ def make_prod(args: Sequence[FTerm]) -> FTerm:
 _FLATTEN_CACHE = LRUCache("rewrite.flatten", maxsize=1 << 16)
 
 
+_ATOMS = (Zero, One, Symbol)
+
+
+def _flatten_atom(expr: Expr) -> FTerm:
+    if isinstance(expr, Zero):
+        return _FZERO
+    if isinstance(expr, One):
+        return _FONE
+    return FSym(expr.name)
+
+
 def flatten(expr: Expr) -> FTerm:
     """Normalise an expression into its flattened canonical form.
 
@@ -407,26 +420,56 @@ def flatten(expr: Expr) -> FTerm:
     node itself); repeated normalisation of shared subterms is O(1).  The
     result is itself interned, so ``flatten(e1) is flatten(e2)`` whenever
     ``e1`` and ``e2`` are AC-equal.
+
+    The walk keeps its own stack, so an expression of any depth flattens.
+    A maximal chain of ``+`` (or ``·``) is one step: its operands are
+    flattened and joined by one :func:`make_sum` (:func:`make_prod`), which
+    builds the same interned node as joining them pairwise, without the
+    intermediate terms (quadratic in the chain's length).  Only chain roots
+    and stars are memoized.
     """
-    if isinstance(expr, Zero):
-        return _FZERO
-    if isinstance(expr, One):
-        return _FONE
-    if isinstance(expr, Symbol):
-        return FSym(expr.name)
+    if isinstance(expr, _ATOMS):
+        return _flatten_atom(expr)
     cached = _FLATTEN_CACHE.get(expr)
     if cached is not None:
         return cached
-    if isinstance(expr, Sum):
-        result = make_sum([flatten(expr.left), flatten(expr.right)])
-    elif isinstance(expr, Product):
-        result = make_prod([flatten(expr.left), flatten(expr.right)])
-    elif isinstance(expr, Star):
-        result = FStar(flatten(expr.body))
-    else:
-        raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
-    _FLATTEN_CACHE.put(expr, result)
-    return result
+    values: Dict[Expr, FTerm] = {}
+    # (node, operands): operands is None until the node has been expanded.
+    stack: List[Tuple[Expr, Optional[List[Expr]]]] = [(expr, None)]
+    while stack:
+        node, operands = stack.pop()
+        if operands is None:
+            if node in values:
+                continue
+            if isinstance(node, _ATOMS):
+                values[node] = _flatten_atom(node)
+                continue
+            if node is not expr:
+                cached = _FLATTEN_CACHE.get(node)
+                if cached is not None:
+                    values[node] = cached
+                    continue
+            if isinstance(node, Star):
+                operands = [node.body]
+            elif isinstance(node, Sum):
+                operands = sum_terms(node)
+            elif isinstance(node, Product):
+                operands = product_factors(node)
+            else:
+                raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
+            stack.append((node, operands))
+            stack.extend((operand, None) for operand in operands)
+            continue
+        flat = [values[operand] for operand in operands]
+        if isinstance(node, Star):
+            result = FStar(flat[0])
+        elif isinstance(node, Sum):
+            result = make_sum(flat)
+        else:
+            result = make_prod(flat)
+        _FLATTEN_CACHE.put(node, result)
+        values[node] = result
+    return values[expr]
 
 
 def unflatten(term: FTerm) -> Expr:

@@ -16,12 +16,13 @@ What an engine adds over the bare pipeline:
   interned identity and short-circuited against the verdict cache and the
   shared verdict store; the remaining tasks run in first-appearance order
   through the session's own caches;
-* **one verdict path** — pointer-equal → session verdict cache → one read
-  of the shared verdict store (:mod:`repro.engine.store`) → compile and
-  decide; a pair the lookup missed is decided without a second read, every
-  decided verdict is cached symmetrically and offered to the store, so a
-  fresh process that mounts the store answers a known workload with zero
-  compilations;
+* **one verdict path** — pointer-equal → session verdict cache
+  (:meth:`NKAEngine.cached_verdict`, which a serving loop may call inline)
+  → one read of the shared verdict store (:mod:`repro.engine.store`) →
+  compile and decide; a pair the lookup missed is decided without a second
+  read, every decided verdict is cached symmetrically and offered to the
+  store, so a fresh process that mounts the store answers a known workload
+  with zero compilations;
 * **metrics** — :meth:`NKAEngine.stats` unifies cache counters, planner
   dedupe ratios and executor timings into one JSON-dumpable report.
 
@@ -178,10 +179,6 @@ class NKAEngine:
         Lookup order is the engine's one verdict path: pointer-equal →
         verdict cache → shared verdict store → compile and decide.
         """
-        if left is right:
-            # Hash-consing makes syntactic equality pointer identity, and
-            # equal syntax trivially has equal series — no automaton needed.
-            return IDENTICAL_RESULT
         found = self._lookup(left, right)
         if found is not None:
             return found
@@ -200,18 +197,41 @@ class NKAEngine:
             self._results.put((left, right), result)
             self._results.put((right, left), result)
 
+    def cached_verdict(
+        self, left: Expr, right: Expr
+    ) -> Optional[EquivalenceResult]:
+        """The verdict this session already holds for a pair, or ``None``.
+
+        Pointer-equal pairs answer :data:`IDENTICAL_RESULT`; otherwise the
+        session verdict cache answers.  Never reads the store and never
+        waits for a running batch (only ``_lock``, around the cache read),
+        so an event loop may call it inline.  A miss is not counted here:
+        the lookup that reads on counts it, so a pair probed first by a
+        serving layer and then by the planner counts one miss, not two.
+        """
+        if left is right:
+            # Hash-consing makes syntactic equality pointer identity, and
+            # equal syntax trivially has equal series — no automaton needed.
+            return IDENTICAL_RESULT
+        key = (left, right)
+        with self._lock:
+            if self._results.peek(key) is None:
+                return None
+            self._verdict_cache_hits += 1
+            return self._results.get(key)
+
     def _lookup(self, left: Expr, right: Expr) -> Optional[EquivalenceResult]:
-        """The verdict tiers in front of a decide: session verdict cache,
+        """The verdict tiers in front of a decide: :meth:`cached_verdict`,
         then one read of the fleet's verdict store.  A store hit lands in
         the session cache, so no pair is read from the store twice; only
         decided verdicts live there, so serving from it preserves
         byte-identity.  The planner and :meth:`equal_detailed` both call
         this, and a miss goes straight to :meth:`_decide`."""
+        cached = self.cached_verdict(left, right)
+        if cached is not None:
+            return cached
         with self._lock:
-            cached = self._results.get((left, right))
-            if cached is not None:
-                self._verdict_cache_hits += 1
-                return cached
+            self._results.misses += 1
         store = self._store
         if store is None:
             return None

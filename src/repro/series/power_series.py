@@ -168,24 +168,31 @@ class TruncatedSeries:
 def series_of_expr(expr: Expr, max_length: int, alphabet: Iterable[str] = ()) -> TruncatedSeries:
     """The semantic mapping ``{{−}}`` of Definition A.4, truncated.
 
-    This is a *direct recursive* evaluator, independent of the automaton
-    pipeline — tests compare the two against each other.
+    This is a *direct* evaluator, independent of the automaton pipeline —
+    tests compare the two against each other.  It walks the tree with its
+    own stack (operand series wait on a second one), so an expression of
+    any depth evaluates, with the operations of the recursive definition.
     """
     sigma = frozenset(expr_alphabet(expr)) | frozenset(alphabet)
-
-    def evaluate(node: Expr) -> TruncatedSeries:
+    values: List[TruncatedSeries] = []
+    stack: List[Tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, operands_ready = stack.pop()
         if isinstance(node, Zero):
-            return TruncatedSeries.build(sigma, max_length, {})
-        if isinstance(node, One):
-            return TruncatedSeries.build(sigma, max_length, {(): ONE})
-        if isinstance(node, Symbol):
-            return TruncatedSeries.build(sigma, max_length, {(node.name,): ONE})
-        if isinstance(node, Sum):
-            return evaluate(node.left) + evaluate(node.right)
-        if isinstance(node, Product):
-            return evaluate(node.left) * evaluate(node.right)
-        if isinstance(node, Star):
-            return evaluate(node.body).star()
-        raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
-
-    return evaluate(expr)
+            values.append(TruncatedSeries.build(sigma, max_length, {}))
+        elif isinstance(node, One):
+            values.append(TruncatedSeries.build(sigma, max_length, {(): ONE}))
+        elif isinstance(node, Symbol):
+            values.append(TruncatedSeries.build(sigma, max_length, {(node.name,): ONE}))
+        elif not operands_ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children()))
+        elif isinstance(node, Star):
+            values.append(values.pop().star())
+        elif isinstance(node, (Sum, Product)):
+            right = values.pop()
+            left = values.pop()
+            values.append(left + right if isinstance(node, Sum) else left * right)
+        else:
+            raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
+    return values.pop()

@@ -8,10 +8,10 @@ traffic was rejected at admission.  These two small classes hold exactly
 that, and nothing engine-shaped.
 
 Both are mutated from two threads — the event-loop thread (admission,
-rejection) and the executor thread that runs batches — so every counter
-and the latency ring are lock-guarded.  Snapshots are taken under the
-lock and returned as plain dicts, safe to serialize while traffic keeps
-flowing.
+rejection, admission answers) and the executor thread that runs batches
+— so every counter and the latency ring are lock-guarded.  Snapshots are
+taken under the lock and returned as plain dicts, safe to serialize while
+traffic keeps flowing.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ __all__ = ["LatencyWindow", "TenantMetrics"]
 class LatencyWindow:
     """A bounded ring of recent request latencies with percentile snapshots.
 
-    Records are end-to-end *request* latencies (enqueue → verdict future
-    resolved), not batch execution times: queueing delay under load is the
-    number an operator actually cares about.  The ring keeps the most
-    recent ``capacity`` samples — long-lived services would otherwise grow
-    without bound and report percentiles dominated by ancient history —
-    while ``count``/``mean`` stay lifetime totals.
+    Records are end-to-end *request* latencies (admission → verdict future
+    resolved, or → the admission answer), not batch execution times:
+    queueing delay under load is the number an operator actually cares
+    about.  The ring keeps the most recent ``capacity`` samples —
+    long-lived services would otherwise grow without bound and report
+    percentiles dominated by ancient history — while ``count``/``mean``
+    stay lifetime totals.
 
     Percentiles use the nearest-rank method over the ring's samples:
     exact for the window, no interpolation to explain in a dashboard.
@@ -88,17 +89,20 @@ class TenantMetrics:
     """Admission/coalescing counters for one tenant.
 
     ``submitted`` counts every request that reached admission; it splits
-    into ``completed`` (future resolved with a verdict), ``rejected``
-    (quota — the 429 path), and ``failed`` (its own execution raised).
-    ``batches`` counts executed coalesced batches; ``completed / batches``
-    is the coalesce ratio — 1.0 means the coalescer never merged anything,
-    higher means that many requests rode each engine batch on average.
+    into ``completed`` (answered with a verdict), ``rejected`` (quota — the
+    429 path), and ``failed`` (its own execution raised).  ``admission_hits``
+    are the completed requests answered at admission from the engine's
+    verdict cache, without a batch.  ``batches`` counts executed coalesced
+    batches; ``(completed − admission_hits) / batches`` is the coalesce
+    ratio — 1.0 means the coalescer never merged anything, higher means
+    that many requests rode each engine batch on average.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.submitted = 0
         self.completed = 0
+        self.admission_hits = 0
         self.rejected = 0
         self.failed = 0
         self.batches = 0
@@ -106,6 +110,11 @@ class TenantMetrics:
     def note_submitted(self) -> None:
         with self._lock:
             self.submitted += 1
+
+    def note_admission_hit(self) -> None:
+        with self._lock:
+            self.admission_hits += 1
+            self.completed += 1
 
     def note_rejected(self) -> None:
         with self._lock:
@@ -123,12 +132,13 @@ class TenantMetrics:
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             batches = self.batches
-            completed = self.completed
+            batched = self.completed - self.admission_hits
             return {
                 "submitted": self.submitted,
-                "completed": completed,
+                "completed": self.completed,
+                "admission_hits": self.admission_hits,
                 "rejected": self.rejected,
                 "failed": self.failed,
                 "batches": batches,
-                "coalesce_ratio": round(completed / batches, 3) if batches else 0.0,
+                "coalesce_ratio": round(batched / batches, 3) if batches else 0.0,
             }

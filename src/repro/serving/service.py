@@ -8,6 +8,9 @@ caller) and per-tenant :class:`~repro.engine.NKAEngine` sessions:
   :class:`TenantQuotaExceeded` (the 429 path) *before* any engine work
   happens.  Overload is absorbed by rejection, not by unbounded queueing,
   which is what keeps accepted-request latency bounded under saturation.
+  An admitted pair whose verdict the engine's session cache already holds
+  (:meth:`~repro.engine.NKAEngine.cached_verdict`) is answered right
+  there, on the loop: no queue entry, no batch, no executor hop.
 * **coalescing** — each tenant has one drain task that collects requests
   arriving within ``coalesce_window`` seconds (up to ``max_batch``) into a
   single planned :meth:`~repro.engine.NKAEngine.equal_many_detailed`
@@ -40,11 +43,13 @@ first; these are the rules that make the combination safe, in one place:
   counter) is only read/written on the loop thread — admission increments
   it, and batch completion decrements it from a loop callback, never from
   the executor thread — so it needs no lock at all.
-* **Engine calls off the loop.**  ``equal_many_detailed`` and
+* **Blocking engine calls off the loop.**  ``equal_many_detailed`` and
   ``engine.close()`` block (``close`` for as long as an in-flight batch
-  runs); they always run on the executor, never on the loop thread.  ``engine.stats()`` snapshots under
-  the engine's own locks (made safe for exactly this in this PR) and is
-  cheap enough to call from the loop directly.
+  runs; store reads touch disk); they always run on the executor, never
+  on the loop thread.  Two engine calls run on the loop directly, because
+  each holds only the engine's short ``_lock`` and never ``_exec_lock``:
+  ``cached_verdict`` (the admission answer, one cache read) and
+  ``engine.stats()`` (a snapshot).
 * **Never hold a serving lock across an engine call.**  Serving metrics
   (:mod:`repro.serving.metrics`) take their own short-lived locks around
   counter updates only; no lock ordering spans the serving/engine
@@ -280,9 +285,11 @@ class NKAService:
         """Admit, coalesce and decide one ``equal?`` request.
 
         Raises :class:`UnknownTenant`, :class:`ServiceClosed` or
-        :class:`TenantQuotaExceeded` at admission; once admitted, the
-        request is guaranteed a verdict (or the batch's exception) even if
-        the service closes meanwhile — close drains, it does not drop.
+        :class:`TenantQuotaExceeded` at admission.  A pair whose verdict
+        the tenant's engine already holds is answered at admission;
+        any other request is queued for a batch and is guaranteed a
+        verdict (or the batch's exception) even if the service closes
+        meanwhile — close drains, it does not drop.
         """
         if not self._started:
             raise ServiceClosed("service not started")
@@ -296,8 +303,16 @@ class NKAService:
                 f"tenant {tenant_name!r} at capacity "
                 f"({tenant.config.max_queue} requests in flight)"
             )
+        admitted_at = time.monotonic()
+        # A verdict the session already holds is the one a batch would
+        # return: answer it here, without a queue entry or an executor hop.
+        cached = tenant.engine.cached_verdict(left, right)
+        if cached is not None:
+            tenant.metrics.note_admission_hit()
+            tenant.latency.record(time.monotonic() - admitted_at)
+            return cached
         loop = asyncio.get_running_loop()
-        request = PendingRequest(left, right, loop.create_future())
+        request = PendingRequest(left, right, loop.create_future(), admitted_at)
         tenant.depth += 1
         tenant.queue.put_nowait(request)
         return await request.future

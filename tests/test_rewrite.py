@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.expr import ONE, Symbol, ZERO, symbols
+from repro.core.expr import ONE, Star, Sum, Symbol, ZERO, product_of, symbols
 from repro.core.parser import parse
 from repro.core.rewrite import (
     FOne,
@@ -15,6 +15,7 @@ from repro.core.rewrite import (
     ac_equivalent,
     flatten,
     instantiate,
+    make_sum,
     match,
     reachable_by_rules,
     rewrite_candidates,
@@ -50,6 +51,23 @@ class TestFlattening:
         for text in ["(a + b) c*", "a b c + 0 + 1", "((a + b) + c) d"]:
             expr = parse(text)
             assert ac_equivalent(unflatten(flatten(expr)), expr)
+
+    def test_flatten_at_depth_100000(self):
+        """flatten keeps its own stack: a 10⁵-letter product and a 10⁵-deep
+        star/sum nest flatten without ``RecursionError``, to the very
+        nodes the pairwise construction interns."""
+        names = [f"x{i % 7}" for i in range(100_000)]
+        product = product_of([Symbol(name) for name in names])
+        assert flatten(product) is FProd(tuple(FSym(name) for name in names))
+
+        a, b = Symbol("a"), Symbol("b")
+        nest, expected = a, FSym("a")
+        for depth in range(100_000):
+            if depth % 2:
+                nest, expected = Star(nest), FStar(expected)
+            else:
+                nest, expected = Sum(b, nest), make_sum([FSym("b"), expected])
+        assert flatten(nest) is expected
 
 
 class TestACEquivalence:

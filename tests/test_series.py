@@ -22,6 +22,17 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             series.coefficient(["a", "a"])
 
+    def test_series_of_expr_at_depth_100000(self):
+        """The evaluator keeps its own stack: a 10⁵-deep sum evaluates."""
+        a, b = Symbol("a"), Symbol("b")
+        chain = a
+        for index in range(99_999):
+            chain = Sum(b if index % 2 else a, chain)
+        assert series_of_expr(chain, 1).as_dict() == {
+            ("a",): ExtNat(50_001),
+            ("b",): ExtNat(49_999),
+        }
+
     def test_addition_adds_coefficients(self):
         left = series_of_expr(parse("a"), 2)
         total = left + left

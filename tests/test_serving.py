@@ -126,7 +126,10 @@ class TestCoalescing:
         assert [pickle.dumps(r) for r in results] == [
             pickle.dumps(e) for e in expected
         ]
-        assert tenant["batches"] == len(pairs)
+        # Pointer-equal pairs are answered at admission, without a batch.
+        identical = sum(1 for left, right in pairs if left is right)
+        assert identical and tenant["admission_hits"] == identical
+        assert tenant["batches"] == len(pairs) - identical
         assert tenant["coalesce_ratio"] == 1.0
 
     def test_failing_pair_does_not_fail_its_coalesced_batch(self, monkeypatch):
@@ -289,6 +292,81 @@ class TestAdmission:
                 assert stats["tenants"]["flood"]["rejected"] > 0
 
         asyncio.run(scenario())
+
+
+class TestAdmissionAnswer:
+    def test_warm_and_identical_pairs_answer_without_a_batch(self, monkeypatch):
+        """A pair the tenant's engine already decided, and a pointer-equal
+        pair, are answered at admission: no batch, no engine batch call,
+        and the same bytes as a storeless engine."""
+        pairs = _pairs(seed=951, count=8)
+        same = parse("(a b)* a")
+
+        async def scenario():
+            async with NKAService([TenantConfig("t")]) as service:
+                cold = await service.equal_many_detailed("t", pairs)
+                engine = service.engine("t")
+                calls = []
+                decide = engine.equal_many_detailed
+
+                def counting(batch, *args, **kwargs):
+                    calls.append(batch)
+                    return decide(batch, *args, **kwargs)
+
+                monkeypatch.setattr(engine, "equal_many_detailed", counting)
+                before = service.stats()["tenants"]["t"]
+                warm = [
+                    await service.equal_detailed("t", left, right)
+                    for left, right in pairs
+                ]
+                identical = await service.equal_detailed("t", same, same)
+                after = service.stats()["tenants"]["t"]
+                return cold, warm, identical, before, after, calls
+
+        cold, warm, identical, before, after, calls = asyncio.run(scenario())
+        reference = NKAEngine("admission-ref", store=False)
+        expected = [
+            pickle.dumps(reference.equal_detailed(left, right))
+            for left, right in pairs
+        ]
+        assert [pickle.dumps(r) for r in cold] == expected
+        assert [pickle.dumps(r) for r in warm] == expected
+        assert pickle.dumps(identical) == pickle.dumps(
+            reference.equal_detailed(same, same)
+        )
+        assert calls == []
+        assert after["batches"] == before["batches"]
+        answered = len(pairs) + 1
+        for key in ("admission_hits", "completed", "submitted"):
+            assert after[key] - before[key] == answered, key
+        assert after["latency"]["count"] - before["latency"]["count"] == answered
+        decided = sum(1 for left, right in pairs if left is not right)
+        hits = lambda tenant: tenant["engine"]["verdicts"]["cache_hits"]
+        assert hits(after) - hits(before) == decided
+
+    def test_quota_is_checked_before_the_admission_answer(self):
+        """A tenant at ``max_queue`` refuses even a pair it could answer."""
+        warm = (parse("(a b)* a"), parse("a (b a)*"))
+        cold = [(parse("a b"), parse("b a")), (parse("a + a"), parse("a"))]
+
+        async def scenario():
+            config = TenantConfig(
+                "t", max_queue=2, max_batch=8, coalesce_window=0.2
+            )
+            async with NKAService([config]) as service:
+                first = await service.equal_detailed("t", *warm)
+                outcomes = await asyncio.gather(
+                    *(service.equal_detailed("t", l, r) for l, r in cold),
+                    service.equal_detailed("t", *warm),
+                    return_exceptions=True,
+                )
+                again = await service.equal_detailed("t", *warm)
+                return first, outcomes, again
+
+        first, outcomes, again = asyncio.run(scenario())
+        assert not any(isinstance(o, Exception) for o in outcomes[:2])
+        assert isinstance(outcomes[2], TenantQuotaExceeded)
+        assert again is first
 
 
 class TestLifecycle:
@@ -569,3 +647,98 @@ class TestHTTP:
         assert [pickle.dumps(r) for r in results] == [
             pickle.dumps(e) for e in expected
         ]
+
+
+class TestHTTPFuzz:
+    """Broken, oversized and cut-short requests get a 4xx JSON answer —
+    never a 500, never a dropped connection — and the server keeps
+    answering afterwards."""
+
+    @staticmethod
+    async def _raw(port, data):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(data)
+        await writer.drain()
+        writer.write_eof()  # the request is all the client will send
+        raw = await asyncio.wait_for(reader.read(), 10)
+        writer.close()
+        assert raw, f"connection dropped without an answer for {data[:60]!r}"
+        head, _, body = raw.partition(b"\r\n\r\n")
+        return int(head.split(b" ", 2)[1]), json.loads(body)
+
+    @staticmethod
+    def _post(body, extra_headers=""):
+        return (
+            f"POST /equal HTTP/1.1\r\nHost: localhost\r\n{extra_headers}"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+
+    def _serve_and_probe(self, requests):
+        """Send each raw request, then check the server still answers."""
+
+        async def scenario():
+            async with NKAService([TenantConfig("t")]) as service:
+                async with ServingHTTPServer(service) as http:
+                    answers = []
+                    for data in requests:
+                        answers.append(await self._raw(http.port, data))
+                    health = await TestHTTP._request(http.port, "GET", "/healthz")
+                    equal = await TestHTTP._request(
+                        http.port,
+                        "POST",
+                        "/equal",
+                        {"tenant": "t", "left": "(a b)* a", "right": "a (b a)*"},
+                    )
+                    return answers, health, equal
+
+        answers, health, equal = asyncio.run(scenario())
+        assert health == (200, {"ok": True})
+        assert equal[0] == 200 and equal[1]["equal"] is True
+        return answers
+
+    def test_oversized_head_and_bad_content_length(self):
+        valid = json.dumps({"tenant": "t", "left": "a", "right": "a"}).encode()
+        requests = [
+            b"GET /" + b"x" * (70 << 10) + b" HTTP/1.1\r\n\r\n",
+            self._post(valid, f"X-Long: {'y' * (70 << 10)}\r\n"),
+            self._post(valid, "".join(f"X-{i}: v\r\n" for i in range(65))),
+            b"POST /equal HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"POST /equal HTTP/1.1\r\nContent-Length: five\r\n\r\n",
+            b"POST /equal HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+            # More digits than int() converts from a string by default.
+            b"POST /equal HTTP/1.1\r\nContent-Length: " + b"1" * 5000
+            + b"\r\n\r\n",
+        ]
+        statuses = [status for status, _ in self._serve_and_probe(requests)]
+        assert statuses == [413, 413, 400, 400, 400, 413, 400]
+
+    def test_hostile_json_bodies(self):
+        requests = [
+            self._post(b"[" * 100_000),
+            self._post(b'{"tenant": ["t"], "left": "a", "right": "b"}'),
+            self._post(b'{"tenant": {"t": 1}, "left": "a", "right": "b"}'),
+            self._post(b'{"tenant": "t", "left": ["a"], "right": "b"}'),
+            self._post(b"\xff\xfe"),
+            self._post(b'"just a string"'),
+        ]
+        answers = self._serve_and_probe(requests)
+        assert [status for status, _ in answers] == [400] * len(requests)
+        assert all("error" in document for _, document in answers)
+
+    def test_seeded_truncated_and_garbage_requests(self):
+        import random
+
+        rng = random.Random(20220613)
+        valid = self._post(
+            json.dumps(
+                {"tenant": "t", "left": "(a b)* a", "right": "a (b a)*"}
+            ).encode()
+        )
+        requests = [valid[: rng.randrange(len(valid))] for _ in range(12)]
+        alphabet = b"GETPOS /:\r\n{}[]\"0123456789 abc\x00\xff"
+        for _ in range(12):
+            length = rng.randrange(1, 400)
+            requests.append(bytes(rng.choice(alphabet) for _ in range(length)))
+        for status, document in self._serve_and_probe(requests):
+            assert 400 <= status < 500, (status, document)
+            assert "error" in document
